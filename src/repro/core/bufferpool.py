@@ -4,10 +4,11 @@ A :class:`Workspace` bundles everything a plan's specialized executor
 (:meth:`~repro.core.plan.ExecutionPlan.execute`) writes into for one frame
 shape: the device-resident buffers of the pipeline proper (downscaled,
 upscaled, pEdge — real :class:`~repro.cl.Buffer` objects on a private
-context, recycled with :meth:`~repro.cl.buffer.Buffer.reset`) and the host
-scratch arrays of the separable stages.  Checking one out, running a frame,
-and checking it back in allocates nothing; ``reset`` only re-zeros the
-pEdge border ring (four thin slices — O(h + w) work), which is the sole
+context, recycled with :meth:`~repro.cl.buffer.Buffer.reset`), the
+downscale's column sums, and one :class:`StripScratch` per strip lane.
+Checking one out, running a frame, and checking it back in allocates
+nothing once the frame's lanes exist; ``reset`` only re-zeros the pEdge
+border ring (four thin slices — O(h + w) work), which is the sole
 cross-frame invariant the executor relies on.
 
 :class:`BufferPool` keeps at most ``max_entries`` idle workspaces per
@@ -16,9 +17,12 @@ built) but the surplus is dropped at check-in, so a burst never grows the
 steady-state footprint.  All operations are thread-safe: the batch
 engine's workers share one pool.
 
-Memory note: one 512x512 float64 workspace is ~27 MB; at 4096x4096 it is
-~1.7 GB, so size ``max_entries`` (and the batch worker count) to the frame
-resolution.
+Memory note (``Workspace.nbytes``): 10.6 MiB at 512x512, 80.1 MiB at
+2048x2048 and 302 MiB at 4096x4096 with one strip lane.  The whole-frame
+part (upscaled and pEdge planes, downscale sums, downscaled plane) is
+18.5 bytes per pixel; each further lane adds about 6 MiB at any width
+(16.6, 86.2 and 308 MiB with two lanes).  Size ``max_entries`` (and the
+batch worker count) to the frame resolution.
 """
 
 from __future__ import annotations
@@ -31,6 +35,50 @@ from ..cl.context import Context
 from ..errors import ConfigError
 from ..simgpu.device import DeviceSpec, W8000
 from ..types import FLOAT
+
+#: Byte budget of one strip-scratch array.  A strip holds
+#: ``STRIP_BYTES // (8 * w)`` rows, so the scratch of one lane stays the
+#: same size at every frame width (32 rows at 2048 wide, the fastest
+#: height there).
+STRIP_BYTES = 512 << 10
+
+
+def strip_rows(h: int, w: int) -> int:
+    """Rows per strip of the executor for an ``h x w`` frame (it strips
+    the ``h - 2`` interior rows)."""
+    return max(1, min(h - 2, STRIP_BYTES // (8 * w)))
+
+
+class StripScratch:
+    """One strip lane's host scratch: ``rows`` interior rows of a
+    ``w``-wide frame, plus the one-row halo above and below where a
+    separable 3x3 stage needs it.
+
+    Pass 1 (upscale body + Sobel) writes ``rows``/``taps``/``tcol``/
+    ``urow``/``gx``/``gy``; pass 2 (sharpness tail + overshoot) writes the
+    rest.  The tail arrays cover the interior columns only: on the
+    one-pixel border the edge map is zero, so the strength is zero and the
+    preliminary image equals the upscaled plane — the executor takes the
+    final border straight from ``up``.
+    """
+
+    def __init__(self, rows: int, w: int) -> None:
+        wd, wi = w // 4, w - 2
+        self.rows = np.empty((rows, wd), dtype=FLOAT)
+        self.taps = np.empty((2, rows, wd - 1), dtype=FLOAT)
+        self.tcol = np.empty((rows, w), dtype=FLOAT)
+        self.urow = np.empty((rows + 2, wi), dtype=FLOAT)
+        self.gx = np.empty((rows, wi), dtype=FLOAT)
+        self.gy = np.empty((rows, wi), dtype=FLOAT)
+        self.err = np.empty((rows, wi), dtype=FLOAT)
+        self.strength = np.empty((rows, wi), dtype=FLOAT)
+        self.prelim = np.empty((rows, wi), dtype=FLOAT)
+        self.mnc = np.empty((rows + 2, wi), dtype=FLOAT)
+        self.mxc = np.empty((rows + 2, wi), dtype=FLOAT)
+        self.mn = np.empty((rows, wi), dtype=FLOAT)
+        self.mx = np.empty((rows, wi), dtype=FLOAT)
+        self.over = np.empty((rows, wi), dtype=bool)
+        self.under = np.empty((rows, wi), dtype=bool)
 
 
 class Workspace:
@@ -57,35 +105,26 @@ class Workspace:
         self.down = self.down_buf.data
         self.up = self.up_buf.data
         self.edge = self.pedge_buf.data
-        # Host scratch of the separable stages.  The sharpness-tail arrays
-        # (err/strength/prelim) only cover the interior: on the one-pixel
-        # border the edge map is zero, so the sharpen strength is zero and
-        # the preliminary image equals the upscaled plane — the executor
-        # takes the final border straight from ``up``.
         self.colsum = np.empty((h, wd), dtype=FLOAT)
-        self.rows = np.empty((4 * (hd - 1), wd), dtype=FLOAT)
-        self.tcol = np.empty((h - 2, w), dtype=FLOAT)
-        self.urow = np.empty((h, w - 2), dtype=FLOAT)
-        self.gx = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.gy = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.err = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.strength = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.prelim = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.mnc = np.empty((h, w - 2), dtype=FLOAT)
-        self.mxc = np.empty((h, w - 2), dtype=FLOAT)
-        self.mn = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.mx = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.over = np.empty((h - 2, w - 2), dtype=bool)
-        self.under = np.empty((h - 2, w - 2), dtype=bool)
+        self.strip = strip_rows(h, w)
+        self.lanes = [StripScratch(self.strip, w)]
+
+    def lane_scratch(self, n: int) -> list[StripScratch]:
+        """The scratch of the first ``n`` strip lanes, built on first use."""
+        while len(self.lanes) < n:
+            self.lanes.append(StripScratch(self.strip, self.w))
+        return self.lanes[:n]
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every array the workspace owns, strip scratch included."""
+        owners = [self, *self.lanes]
+        return [a for o in owners for a in vars(o).values()
+                if isinstance(a, np.ndarray)]
 
     @property
     def nbytes(self) -> int:
         """Total scratch footprint (device buffers + host arrays)."""
-        arrays = (self.down, self.up, self.edge, self.colsum, self.rows,
-                  self.tcol, self.urow, self.gx, self.gy, self.err,
-                  self.strength, self.prelim, self.mnc, self.mxc,
-                  self.mn, self.mx, self.over, self.under)
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in self.arrays())
 
     def reset(self) -> None:
         """Make the workspace frame-clean.

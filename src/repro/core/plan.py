@@ -24,6 +24,37 @@ frame:
   and uncached runs produce **bit-identical** images and edge means — the
   test suite asserts ``np.array_equal``.
 
+The executor is cache-blocked.  Only the downscale (whose output is 1/16
+of the frame) and the pEdge reduction run over the whole frame; the rest
+runs on row strips of the ``h - 2`` interior rows, sized by
+:data:`~repro.core.bufferpool.STRIP_BYTES` so one strip's scratch stays
+in cache:
+
+1. downscale the whole frame;
+2. **pass 1**, per strip: upscale-body rows into ``up``, then separable
+   Sobel with a one-row halo into ``pEdge``; then the upscale border
+   lines (O(h + w));
+3. the pEdge mean over the whole ``pEdge`` with the plan's exact
+   reduction level chain — the pipeline's only global barrier, hence two
+   passes;
+4. **pass 2**, per strip: pError, strength, preliminary, separable 3x3
+   min/max with a one-row halo, the sparse overshoot blend and the clip
+   into the output; then the output's border lines from ``up``.
+
+Every output element is computed by the same expression as in the
+whole-frame stages, so strip boundaries cannot change a bit.
+
+Strips of one frame run on :data:`STRIP_LANES`, a process-wide pool of
+lanes: each lane owns one :class:`~repro.core.bufferpool.StripScratch`
+of the workspace and writes disjoint rows, so pixels need no locking.
+The lane rule keeps busy lanes at or below ``os.cpu_count()``: a pass
+asks for ``cpu_count // frames`` lanes, ``frames`` being the frames
+currently inside :meth:`ExecutionPlan.execute` process-wide, and a helper
+lane stops taking strips once the busy lanes (one per frame inside
+``execute`` plus the running helpers) reach the CPU count.  A lone frame
+fans out over every core; a batch with one frame in flight per core runs
+each frame on its own thread.
+
 :class:`PlanCache` is a thread-safe LRU keyed on :class:`PlanKey`; its
 hit/miss counters surface through the metrics registry as
 ``repro_plan_cache_requests_total{outcome=...}``.
@@ -31,9 +62,13 @@ hit/miss counters surface through the metrics registry as
 
 from __future__ import annotations
 
+import contextlib
+import os
 import threading
 from collections import Counter, OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +78,7 @@ from ..simgpu.device import CPUSpec, DeviceSpec
 from ..simgpu.profiling import Timeline
 from ..types import FLOAT, SharpnessParams, StageTimes
 from . import heuristics
+from .bufferpool import StripScratch, Workspace
 from .config import OptimizationFlags
 
 #: ``x ** 0.5`` and ``sqrt(x)`` agree bitwise on IEEE-754 platforms numpy
@@ -112,6 +148,227 @@ def _group_sums(flat: np.ndarray, count: int, n_groups: int) -> np.ndarray:
         partials[:full] = flat[:full * span].reshape(full, span).sum(axis=1)
     partials[full] = flat[full * span:count].sum()
     return partials
+
+
+class _Strips:
+    """The strips of one executor pass, handed out one at a time."""
+
+    def __init__(self, n: int, fn: Callable[[int, StripScratch], None],
+                 lock: threading.Lock) -> None:
+        self.n = n
+        self.fn = fn
+        self.next = 0
+        self.running = 0
+        self.error: BaseException | None = None
+        self.idle = threading.Condition(lock)
+
+
+class StripLanes:
+    """Process-wide strip lanes for the executor (see the module docstring
+    for the lane rule).
+
+    The calling thread of :meth:`run` is always lane 0; extra lanes are
+    helper threads of a pool created on first use.  Strips are taken one at
+    a time, so lanes balance themselves and a helper can step back between
+    two strips when other frames enter :meth:`ExecutionPlan.execute`.
+    """
+
+    def __init__(self, cpus: int) -> None:
+        self.cpus = cpus
+        self._lock = threading.Lock()
+        #: Frames inside ``execute``; each is a busy lane on its own thread.
+        self.frames = 0
+        #: Helper lanes currently running a strip.
+        self.helpers = 0
+        self._pool: ThreadPoolExecutor | None = None
+
+    def busy(self) -> int:
+        """Busy strip lanes: frames inside ``execute`` plus running helpers."""
+        with self._lock:
+            return self.frames + self.helpers
+
+    @contextlib.contextmanager
+    def frame(self):
+        """Count the caller as a frame inside ``execute``."""
+        with self._lock:
+            self.frames += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self.frames -= 1
+
+    def run(self, ws: Workspace, n: int,
+            fn: Callable[[int, StripScratch], None]) -> None:
+        """Call ``fn(strip, scratch)`` for every strip in ``range(n)`` and
+        return once all have finished; the first error a lane raised is
+        re-raised here, after every lane has stopped touching ``ws``."""
+        with self._lock:
+            lanes = max(1, min(n, self.cpus // max(self.frames, 1)))
+        scratch = ws.lane_scratch(lanes)
+        job = _Strips(n, fn, self._lock)
+        if lanes > 1:
+            pool = self._executor()
+            for lane in scratch[1:]:
+                pool.submit(self._work, job, lane, True)
+        self._work(job, scratch[0], False)
+        with self._lock:
+            while job.running:
+                job.idle.wait()
+        if job.error is not None:
+            raise job.error
+
+    def _executor(self) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.cpus - 1,
+                    thread_name_prefix="repro-strip")
+            return self._pool
+
+    def _work(self, job: _Strips, scratch: StripScratch,
+              helper: bool) -> None:
+        while True:
+            with self._lock:
+                if (job.next >= job.n or job.error is not None
+                        or (helper and
+                            self.frames + self.helpers >= self.cpus)):
+                    return
+                strip = job.next
+                job.next += 1
+                job.running += 1
+                self.helpers += helper
+            try:
+                job.fn(strip, scratch)
+            except BaseException as exc:  # repro: ignore[PL-BROAD-EXCEPT] re-raised by run()
+                with self._lock:
+                    if job.error is None:
+                        job.error = exc
+            finally:
+                with self._lock:
+                    job.running -= 1
+                    self.helpers -= helper
+                    if not job.running:
+                        job.idle.notify_all()
+
+
+#: The lanes every plan's executor shares.
+STRIP_LANES = StripLanes(os.cpu_count() or 1)
+
+
+def _upscale_sobel_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
+                         s: StripScratch) -> None:
+    """Pass 1 on interior rows ``[r0, r1)``: upscale-body rows of ``up``
+    and Sobel rows of ``pEdge``."""
+    h, w = ws.h, ws.w
+    down = ws.down
+    # ---- upscale body (separable, same order as _interp_body_axis0) -----
+    # Body row b = y - 2 (y in [2, h-2)) blends down[b // 4] and
+    # down[b // 4 + 1] with the weights of phase b % 4.
+    y0, y1 = max(r0, 2), min(r1, h - 2)
+    if y1 > y0:
+        n = y1 - y0
+        b0, b1 = y0 - 2, y1 - 2
+        rows = s.rows[:n]
+        for k in range(4):
+            bk = b0 + (k - b0) % 4  # first body row of phase k
+            if bk >= b1:
+                continue
+            i0, c = bk // 4, (b1 - bk + 3) // 4
+            wl, wr = algo.UPSCALE_P[k]
+            np.add(wl * down[i0:i0 + c], wr * down[i0 + 1:i0 + 1 + c],
+                   out=rows[bk - b0::4])
+        # Column pass straight into the body view: element [i, 4q+k] is
+        # wl*rows[i, q] + wr*rows[i, q+1], the scalar expression of the
+        # transpose formulation.
+        body = ws.up[y0:y1, 2:w - 2]
+        ra, rb = rows[:, :-1], rows[:, 1:]
+        ta, tb = s.taps[0, :n], s.taps[1, :n]
+        for k in range(4):
+            wl, wr = algo.UPSCALE_P[k]
+            np.multiply(ra, wl, out=ta)
+            np.multiply(rb, wr, out=tb)
+            np.add(ta, tb, out=body[:, k::4])
+
+    # ---- Sobel (separable; association order matches algo.sobel) --------
+    n = r1 - r0
+    tcol = s.tcol[:n]
+    np.multiply(plane[r0:r1], 2.0, out=tcol)
+    np.add(plane[r0 - 1:r1 - 1], tcol, out=tcol)
+    np.add(tcol, plane[r0 + 1:r1 + 1], out=tcol)
+    gx = np.subtract(tcol[:, 2:], tcol[:, :-2], out=s.gx[:n])
+    halo = plane[r0 - 1:r1 + 1]
+    urow = s.urow[:n + 2]
+    np.multiply(halo[:, 1:w - 1], 2.0, out=urow)
+    np.add(halo[:, 0:w - 2], urow, out=urow)
+    np.add(urow, halo[:, 2:w], out=urow)
+    gy = np.subtract(urow[2:], urow[:-2], out=s.gy[:n])
+    np.abs(gx, out=gx)
+    np.abs(gy, out=gy)
+    np.add(gx, gy, out=ws.edge[r0:r1, 1:w - 1])
+
+
+def _sharpen_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
+                   s: StripScratch, edge_mean: float,
+                   params: SharpnessParams, final: np.ndarray) -> None:
+    """Pass 2 on interior rows ``[r0, r1)``: the fused sharpness tail and
+    overshoot control into ``final[r0:r1, 1:w-1]``."""
+    w = ws.w
+    n = r1 - r0
+    # ---- fused sharpness tail (interior columns only) -------------------
+    pi = plane[r0:r1, 1:w - 1]
+    ui = ws.up[r0:r1, 1:w - 1]
+    err = np.subtract(pi, ui, out=s.err[:n])
+    strength = s.strength[:n]
+    if edge_mean <= 0.0:
+        strength[...] = 0.0
+    else:
+        np.divide(ws.edge[r0:r1, 1:w - 1], FLOAT(edge_mean), out=strength)
+        if params.gamma == 0.5 and POW_HALF_IS_SQRT:
+            np.sqrt(strength, out=strength)
+        else:
+            np.power(strength, FLOAT(params.gamma), out=strength)
+        np.multiply(strength, FLOAT(params.gain), out=strength)
+        np.clip(strength, 0.0, params.strength_max, out=strength)
+    prelim = s.prelim[:n]
+    np.multiply(strength, err, out=prelim)
+    np.add(ui, prelim, out=prelim)
+
+    # ---- overshoot control (separable 3x3 min/max, sparse blend) --------
+    halo = plane[r0 - 1:r1 + 1]
+    mnc, mxc = s.mnc[:n + 2], s.mxc[:n + 2]
+    np.minimum(halo[:, 0:w - 2], halo[:, 1:w - 1], out=mnc)
+    np.minimum(mnc, halo[:, 2:w], out=mnc)
+    np.maximum(halo[:, 0:w - 2], halo[:, 1:w - 1], out=mxc)
+    np.maximum(mxc, halo[:, 2:w], out=mxc)
+    mn, mx = s.mn[:n], s.mx[:n]
+    np.minimum(mnc[0:n], mnc[1:n + 1], out=mn)
+    np.minimum(mn, mnc[2:n + 2], out=mn)
+    np.maximum(mxc[0:n], mxc[1:n + 1], out=mx)
+    np.maximum(mx, mxc[2:n + 2], out=mx)
+
+    np.clip(prelim, 0.0, 255.0, out=final[r0:r1, 1:w - 1])
+    # Sparse blend through flat integer indices: boolean fancy indexing
+    # walks the mask per element, flatnonzero + take/scatter only touches
+    # the (typically ~10-20%) overshooting pixels.
+    osc = FLOAT(params.overshoot)
+    over = np.greater(prelim, mx, out=s.over[:n])
+    under = np.less(prelim, mn, out=s.under[:n])
+    final_flat = final.ravel()
+    prelim_flat = prelim.ravel()
+    wi = w - 2
+    for mask, bound, ref in ((over, mx, True), (under, mn, False)):
+        idx = np.flatnonzero(mask)
+        if idx.size == 0:
+            continue
+        bv = np.take(prelim_flat, idx)
+        lv = np.take(bound.ravel(), idx)
+        if ref:
+            vals = np.minimum(lv + osc * (bv - lv), 255.0)
+        else:
+            vals = np.maximum(lv - osc * (lv - bv), 0.0)
+        # strip index (r, c) -> final index (r0 + r, c + 1), flattened
+        final_flat[idx + 2 * (idx // wi) + r0 * w + 1] = vals
 
 
 @dataclass
@@ -212,142 +469,71 @@ class ExecutionPlan:
     # -- specialized frame executor -------------------------------------------
 
     def execute(self, plane: np.ndarray, params: SharpnessParams,
-                ws) -> tuple[np.ndarray, float]:
+                ws: Workspace) -> tuple[np.ndarray, float]:
         """Sharpen one frame through pooled scratch; allocation-free steady
         state apart from the returned output plane (which the caller owns).
 
         ``ws`` is a :class:`~repro.core.bufferpool.Workspace` of matching
-        shape.  Every operation reproduces the canonical stage functions'
-        float association order, so the result is bit-identical to the
-        generic kernel path.
+        shape.  The frame runs in two strip passes around the reduction
+        (see the module docstring); every operation reproduces the
+        canonical stage functions' float association order, so the result
+        is bit-identical to the generic kernel path.
         """
         h, w = self.key.height, self.key.width
+        with STRIP_LANES.frame():
+            # ---- downscale: non-overlapping 4x4 block means -----------------
+            # Explicit slice adds in reduce order: np.add.reduce over a
+            # length-4 axis is sequential (((a0+a1)+a2)+a3), so this matches
+            # ``blocks.sum(axis=(1, 3))`` bit for bit at a third of the cost
+            # (the multi-axis strided reduce is iteration-bound).
+            down = ws.down
+            cols = plane.reshape(h, w // 4, 4)
+            s1 = ws.colsum
+            np.add(cols[:, :, 0], cols[:, :, 1], out=s1)
+            np.add(s1, cols[:, :, 2], out=s1)
+            np.add(s1, cols[:, :, 3], out=s1)
+            rows4 = s1.reshape(h // 4, 4, w // 4)
+            np.add(rows4[:, 0], rows4[:, 1], out=down)
+            np.add(down, rows4[:, 2], out=down)
+            np.add(down, rows4[:, 3], out=down)
+            np.divide(down, FLOAT(16.0), out=down)
 
-        # ---- downscale: non-overlapping 4x4 block means ---------------------
-        # Explicit slice adds in reduce order: np.add.reduce over a length-4
-        # axis is sequential (((a0+a1)+a2)+a3), so this matches
-        # ``blocks.sum(axis=(1, 3))`` bit for bit at a third of the cost
-        # (the multi-axis strided reduce is iteration-bound).
-        down = ws.down
-        cols = plane.reshape(h, w // 4, 4)
-        s1 = ws.colsum
-        np.add(cols[:, :, 0], cols[:, :, 1], out=s1)
-        np.add(s1, cols[:, :, 2], out=s1)
-        np.add(s1, cols[:, :, 3], out=s1)
-        rows4 = s1.reshape(h // 4, 4, w // 4)
-        np.add(rows4[:, 0], rows4[:, 1], out=down)
-        np.add(down, rows4[:, 2], out=down)
-        np.add(down, rows4[:, 3], out=down)
-        np.divide(down, FLOAT(16.0), out=down)
+            # ---- pass 1: upscale body + Sobel, strip by strip ---------------
+            # Strip j covers interior rows [1 + j*S, 1 + (j+1)*S) ∩ [1, h-1).
+            step = ws.strip
+            n_strips = -(-(h - 2) // step)
 
-        # ---- upscale body (separable, same order as _interp_body_axis0) -----
-        rows = ws.rows
-        a, b = down[:-1], down[1:]
-        for k in range(4):
-            wl, wr = algo.UPSCALE_P[k]
-            np.add(wl * a, wr * b, out=rows[k::4])
-        # Second (column) pass straight into the body view: element [i, 4q+k]
-        # is wl*rows[i, q] + wr*rows[i, q+1] — the same scalar expression the
-        # transpose formulation produces, without materializing the
-        # transposed intermediate.
-        up = ws.up
-        body = up[2:h - 2, 2:w - 2]
-        ra, rb = rows[:, :-1], rows[:, 1:]
-        for k in range(4):
-            wl, wr = algo.UPSCALE_P[k]
-            np.add(wl * ra, wr * rb, out=body[:, k::4])
-        # Border lines: host construction regardless of the GPU/CPU
-        # placement — both placements produce identical values (asserted by
-        # the flag-equivalence tests); the placement only shapes the
-        # (already captured) timeline.
-        algo.upscale_border_apply(up, down)
+            def bounds(j: int) -> tuple[int, int]:
+                return 1 + j * step, min(1 + (j + 1) * step, h - 1)
 
-        # ---- Sobel (separable; association order matches algo.sobel) --------
-        tcol, urow = ws.tcol, ws.urow
-        np.multiply(plane[1:h - 1], 2.0, out=tcol)
-        np.add(plane[0:h - 2], tcol, out=tcol)
-        np.add(tcol, plane[2:h], out=tcol)
-        gx = np.subtract(tcol[:, 2:], tcol[:, :-2], out=ws.gx)
-        np.multiply(plane[:, 1:w - 1], 2.0, out=urow)
-        np.add(plane[:, 0:w - 2], urow, out=urow)
-        np.add(urow, plane[:, 2:w], out=urow)
-        gy = np.subtract(urow[2:], urow[:-2], out=ws.gy)
-        np.abs(gx, out=gx)
-        np.abs(gy, out=gy)
-        edge = ws.edge  # border ring is kept zero by Workspace.reset()
-        np.add(gx, gy, out=edge[1:h - 1, 1:w - 1])
+            STRIP_LANES.run(ws, n_strips, lambda j, s: _upscale_sobel_strip(
+                plane, ws, *bounds(j), s))
+            # Border lines: host construction regardless of the GPU/CPU
+            # placement — both placements produce identical values
+            # (asserted by the flag-equivalence tests); the placement only
+            # shapes the (already captured) timeline.
+            up = ws.up
+            algo.upscale_border_apply(up, down)
 
-        # ---- reduction: exact level chain of the capture ---------------------
-        n = h * w
-        if not self.reduction_levels:
-            edge_mean = float(edge.sum()) / n
-        else:
-            flat = edge.ravel()
-            for count, n_groups in self.reduction_levels:
-                flat = _group_sums(flat, count, n_groups)
-            edge_mean = float(flat.sum()) / n
-
-        # ---- fused sharpness tail (interior only) ---------------------------
-        # On the one-pixel border the edge map is zero (the ring the
-        # workspace keeps zeroed), so strength is zero there and the
-        # preliminary image equals ``up`` — compute err/strength/prelim on
-        # the contiguous interior and take the border from ``up`` below.
-        pi = plane[1:h - 1, 1:w - 1]
-        ui = up[1:h - 1, 1:w - 1]
-        err = np.subtract(pi, ui, out=ws.err)
-        strength = ws.strength
-        if edge_mean <= 0.0:
-            strength[...] = 0.0
-        else:
-            np.divide(edge[1:h - 1, 1:w - 1], FLOAT(edge_mean),
-                      out=strength)
-            if params.gamma == 0.5 and POW_HALF_IS_SQRT:
-                np.sqrt(strength, out=strength)
+            # ---- reduction: exact level chain of the capture -----------------
+            # The pEdge border ring is kept zero by Workspace.reset().
+            edge = ws.edge
+            n = h * w
+            if not self.reduction_levels:
+                edge_mean = float(edge.sum()) / n
             else:
-                np.power(strength, FLOAT(params.gamma), out=strength)
-            np.multiply(strength, FLOAT(params.gain), out=strength)
-            np.clip(strength, 0.0, params.strength_max, out=strength)
-        prelim = ws.prelim
-        np.multiply(strength, err, out=prelim)
-        np.add(ui, prelim, out=prelim)
+                flat = edge.ravel()
+                for count, n_groups in self.reduction_levels:
+                    flat = _group_sums(flat, count, n_groups)
+                edge_mean = float(flat.sum()) / n
 
-        # ---- overshoot control (separable 3x3 min/max, sparse blend) --------
-        osc = FLOAT(params.overshoot)
-        mnc, mxc = ws.mnc, ws.mxc
-        np.minimum(plane[:, 0:w - 2], plane[:, 1:w - 1], out=mnc)
-        np.minimum(mnc, plane[:, 2:w], out=mnc)
-        np.maximum(plane[:, 0:w - 2], plane[:, 1:w - 1], out=mxc)
-        np.maximum(mxc, plane[:, 2:w], out=mxc)
-        mn, mx = ws.mn, ws.mx
-        np.minimum(mnc[0:h - 2], mnc[1:h - 1], out=mn)
-        np.minimum(mn, mnc[2:h], out=mn)
-        np.maximum(mxc[0:h - 2], mxc[1:h - 1], out=mx)
-        np.maximum(mx, mxc[2:h], out=mx)
+            # ---- pass 2: sharpness tail + overshoot, strip by strip ----------
+            final = np.empty((h, w), dtype=FLOAT)
+            STRIP_LANES.run(ws, n_strips, lambda j, s: _sharpen_strip(
+                plane, ws, *bounds(j), s, edge_mean, params, final))
 
-        final = np.empty((h, w), dtype=FLOAT)
-        body = prelim  # contiguous (h-2, w-2)
-        np.clip(body, 0.0, 255.0, out=final[1:h - 1, 1:w - 1])
-        # Sparse blend through flat integer indices: boolean fancy indexing
-        # walks the mask per element, flatnonzero + take/scatter only touches
-        # the (typically ~10-20%) overshooting pixels.
-        np.greater(body, mx, out=ws.over)
-        np.less(body, mn, out=ws.under)
-        final_flat = final.ravel()
-        body_flat = body.ravel()
-        wi = w - 2
-        for idx_ws, bound, ref in ((ws.over, mx, True), (ws.under, mn, False)):
-            idx = np.flatnonzero(idx_ws)
-            if idx.size == 0:
-                continue
-            bv = np.take(body_flat, idx)
-            lv = np.take(bound.ravel(), idx)
-            if ref:
-                vals = np.minimum(lv + osc * (bv - lv), 255.0)
-            else:
-                vals = np.maximum(lv - osc * (lv - bv), 0.0)
-            # interior index (r, c) -> final index (r+1, c+1), flattened
-            final_flat[idx + 2 * (idx // wi) + w + 1] = vals
-
+        # On the one-pixel border the edge map is zero, so the preliminary
+        # image equals ``up`` there.
         np.clip(up[0], 0.0, 255.0, out=final[0])
         np.clip(up[h - 1], 0.0, 255.0, out=final[h - 1])
         np.clip(up[:, 0], 0.0, 255.0, out=final[:, 0])

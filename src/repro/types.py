@@ -58,7 +58,11 @@ def validate_plane(array: np.ndarray) -> np.ndarray:
             f"image sides must be divisible by {SCALE}, got {h}x{w}"
         )
     out = arr.astype(FLOAT, copy=True)
-    if np.isnan(out).any():
+    # Scans that cannot fail are skipped: integers hold no NaN, and every
+    # uint8 value already lies in [0, 255].
+    if arr.dtype == np.uint8:
+        return out
+    if not np.issubdtype(arr.dtype, np.integer) and np.isnan(out).any():
         raise ValidationError("image contains NaN values")
     lo, hi = float(out.min()), float(out.max())
     if lo < 0.0 or hi > 255.0:

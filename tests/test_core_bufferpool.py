@@ -3,10 +3,34 @@
 import numpy as np
 import pytest
 
-from repro.core import BufferPool, GPUPipeline, OPTIMIZED, Workspace
+from repro.core import (
+    BufferPool,
+    GPUPipeline,
+    OPTIMIZED,
+    Workspace,
+    bufferpool,
+    plan,
+)
 from repro.errors import ConfigError
 from repro.types import Image
 from repro.util import images
+
+
+def _owned_arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj``'s attributes, through lists
+    and plain objects (a Workspace and its strip-lane scratch)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _owned_arrays(item, seen)]
+    if type(obj).__module__ == bufferpool.__name__:
+        return [a for value in vars(obj).values()
+                for a in _owned_arrays(value, seen)]
+    return []
 
 
 class TestWorkspace:
@@ -84,22 +108,25 @@ class TestPoolHygiene:
     next: every cell the executor reads is either written first or part of
     the zeroed pEdge ring."""
 
-    def test_poisoned_workspace_produces_identical_frames(self):
+    def test_poisoned_workspace_produces_identical_frames(self, monkeypatch):
+        # Three-row strips on three lanes, so the workspace owns several
+        # lanes' strip scratch.
+        monkeypatch.setattr(bufferpool, "STRIP_BYTES", 3 * 8 * 32)
+        monkeypatch.setattr(plan, "STRIP_LANES", plan.StripLanes(3))
         frames = [Image.from_array(f)
-                  for f in images.video_sequence(32, 32, 2, seed=5)]
-        pipe = GPUPipeline(OPTIMIZED)
-        ref = [pipe.run(f).final for f in frames]  # miss + clean hit
+                  for f in images.video_sequence(32, 32, 3, seed=5)]
+        ref = [GPUPipeline(OPTIMIZED, caching=False).run(f).final
+               for f in frames]
 
         poisoned = GPUPipeline(OPTIMIZED)
-        poisoned.run(frames[0])  # capture the plan, park a workspace
-        for ws_list in poisoned.buffer_pool._idle.values():
-            for ws in ws_list:
-                for name in ("down", "up", "edge", "colsum", "rows", "tcol",
-                             "urow", "gx", "gy", "err", "strength",
-                             "prelim", "mnc", "mxc", "mn", "mx"):
-                    getattr(ws, name)[...] = 1e9
-                ws.over[...] = True
-                ws.under[...] = True
+        poisoned.run(frames[0])  # plan miss: capture, no workspace yet
+        poisoned.run(frames[0])  # first replay: builds and parks one
+        (ws,) = poisoned.buffer_pool._idle[(32, 32)]
+        assert len(ws.lanes) == 3
+        arrays = _owned_arrays(ws)
+        assert ws.nbytes == sum(a.nbytes for a in arrays)
+        for a in arrays:
+            a[...] = True if a.dtype == bool else np.nan
         for f, expected in zip(frames, ref):
             assert np.array_equal(poisoned.run(f).final, expected)
 

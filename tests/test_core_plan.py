@@ -2,10 +2,13 @@
 
 import dataclasses
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.algo import stages as algo
 from repro.core import (
     BASE,
     LADDER,
@@ -13,6 +16,8 @@ from repro.core import (
     GPUPipeline,
     PlanCache,
     PlanKey,
+    bufferpool,
+    plan,
 )
 from repro.errors import ConfigError
 from repro.obs import RunContext
@@ -97,6 +102,137 @@ class TestPlanCorrectness:
         for f in plane:
             assert np.array_equal(cached.run(f).final,
                                   uncached.run(f).final)
+
+
+#: A 2048-wide frame two strips and four rows tall: its interior rows end
+#: in a ragged two-row strip.
+_STRIP_2048 = bufferpool.strip_rows(4096, 2048)
+_RAGGED = (2 * _STRIP_2048 + 4, 2048)
+
+
+def _frame(shape, kind, seed):
+    plane = images.video_sequence(*shape, 1, seed=seed)[0]
+    return np.rint(plane).astype(np.uint8) if kind == "u8" else plane
+
+
+def _small_strips(monkeypatch, rows, cpus):
+    """Strips of ``rows`` rows for frames up to 64 wide, on ``cpus``
+    lanes regardless of the host."""
+    monkeypatch.setattr(bufferpool, "STRIP_BYTES", rows * 8 * 64)
+    monkeypatch.setattr(plan, "STRIP_LANES", plan.StripLanes(cpus))
+
+
+class TestStripExecutor:
+    @pytest.mark.parametrize("kind", ["u8", "float"])
+    @pytest.mark.parametrize("flags", [OPTIMIZED, BASE],
+                             ids=["optimized", "base"])
+    @pytest.mark.parametrize("shape", [(16, 16), (20, 36), (640, 480),
+                                       _RAGGED], ids=str)
+    def test_bit_identical_on_ragged_and_minimal_shapes(self, shape, flags,
+                                                        kind):
+        frame = _frame(shape, kind, seed=11)
+        pipe = GPUPipeline(flags)
+        pipe.run(frame)  # capture
+        got = pipe.run(frame)
+        assert pipe.plan_cache.stats()["hits"] == 1
+        ref = GPUPipeline(flags, caching=False).run(frame)
+        assert np.array_equal(got.final, ref.final)
+        assert got.edge_mean == ref.edge_mean
+        canon = algo.sharpen(frame)
+        if kind == "u8" or not flags.reduction_on_gpu:
+            assert np.array_equal(got.final, canon["final"])
+            assert got.edge_mean == canon["edge_mean"]
+        else:
+            # The device reduction adds workgroup partials, a different
+            # association than the flat sum of algo.reduce_mean; on
+            # non-integer edge maps the mean may differ in the last bits.
+            np.testing.assert_allclose(got.edge_mean, canon["edge_mean"],
+                                       rtol=1e-12)
+            np.testing.assert_allclose(got.final, canon["final"],
+                                       rtol=1e-9, atol=1e-9)
+
+    def test_ragged_shape_really_has_a_ragged_strip(self):
+        h, w = _RAGGED
+        strip = bufferpool.strip_rows(h, w)
+        assert strip == _STRIP_2048 and (h - 2) % strip == 2
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_multi_lane_equals_single_lane(self, monkeypatch, rows):
+        frames = [_frame((36, 64), "float", seed=s) for s in (1, 2)]
+        outputs = {}
+        for cpus in (1, 4):
+            _small_strips(monkeypatch, rows, cpus)
+            pipe = GPUPipeline(OPTIMIZED)
+            pipe.run(frames[0])
+            outputs[cpus] = [pipe.run(f) for f in frames]
+            (ws,) = pipe.buffer_pool._idle[(36, 64)]
+            assert ws.strip == rows
+            assert len(ws.lanes) == min(cpus, -(-34 // rows))
+        generic = GPUPipeline(OPTIMIZED, caching=False)
+        for f, one, many in zip(frames, outputs[1], outputs[4]):
+            ref = generic.run(f)
+            assert np.array_equal(one.final, ref.final)
+            assert np.array_equal(many.final, ref.final)
+            assert one.edge_mean == many.edge_mean == ref.edge_mean
+        assert plan.STRIP_LANES.busy() == 0
+
+
+class TestStripConcurrency:
+    def test_simultaneous_replays_share_one_pipeline(self, monkeypatch):
+        # More lanes and threads than the host has cores, and a short
+        # switch interval, so lanes of both frames interleave.
+        _small_strips(monkeypatch, rows=3, cpus=4)
+        frames = [_frame((64, 64), "u8", seed=s) for s in range(4)]
+        refs = [algo.sharpen(f)["final"] for f in frames]
+        pipe = GPUPipeline(OPTIMIZED)
+        pipe.run(frames[0])  # capture
+        barrier = threading.Barrier(2, timeout=30)
+        results = {}
+
+        def replay(tid):
+            barrier.wait()
+            results[tid] = [pipe.run(f).final for f in frames]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=replay, args=(t,))
+                       for t in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1]
+        for outs in results.values():
+            for got, ref in zip(outs, refs):
+                assert np.array_equal(got, ref)
+        assert plan.STRIP_LANES.busy() == 0
+        assert pipe.buffer_pool.stats()["in_use"] == 0
+
+    def test_failing_lane_reaches_the_caller(self, monkeypatch):
+        _small_strips(monkeypatch, rows=3, cpus=4)
+        frame = _frame((36, 64), "u8", seed=3)
+        pipe = GPUPipeline(OPTIMIZED)
+        pipe.run(frame)  # capture
+        original = plan._sharpen_strip
+
+        def failing(plane, ws, r0, r1, *args):
+            if r0 > 1:
+                raise RuntimeError(f"lane failed at row {r0}")
+            original(plane, ws, r0, r1, *args)
+
+        monkeypatch.setattr(plan, "_sharpen_strip", failing)
+        with pytest.raises(RuntimeError, match="lane failed"):
+            pipe.run(frame)
+        assert pipe.buffer_pool.stats()["in_use"] == 0
+        assert plan.STRIP_LANES.busy() == 0
+        # The workspace the failed frame used is clean for the next one.
+        monkeypatch.setattr(plan, "_sharpen_strip", original)
+        assert np.array_equal(pipe.run(frame).final,
+                              algo.sharpen(frame)["final"])
 
 
 class TestPlanBypass:

@@ -60,8 +60,19 @@ class TestValidatePlane:
             validate_plane(plane)
 
     def test_accepts_uint8_input(self):
-        out = validate_plane(np.full((16, 16), 255, dtype=np.uint8))
-        assert out.max() == 255.0
+        src = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        out = validate_plane(src)
+        assert out.dtype == FLOAT
+        assert np.array_equal(out, src)
+
+    @pytest.mark.parametrize("value", [300, -1])
+    def test_rejects_out_of_range_integers(self, value):
+        # Only uint8 skips the range scan; wider integers can still
+        # hold values outside [0, 255].
+        plane = np.zeros((16, 16), dtype=np.int16)
+        plane[5, 7] = value
+        with pytest.raises(ValidationError, match=r"\[0, 255\]"):
+            validate_plane(plane)
 
 
 class TestImage:
