@@ -3,9 +3,10 @@
 The obs layer must be cheap (or off-by-default): this benchmark runs the
 optimized GPU pipeline with no RunContext and with a fully live one
 (metrics + tracer + logger at ``warning``), asserts the instrumented
-wall-clock time stays within 5% of the uninstrumented run, and records the
-numbers in ``benchmarks/results/BENCH_obs.json`` so the project's perf
-trajectory starts recording.
+wall-clock time stays within 5% of the uninstrumented run (both ways of
+running it below fail beyond that), and records the numbers in
+``benchmarks/results/BENCH_obs.json`` so the project's perf trajectory
+starts recording.
 
 Run with ``pytest benchmarks/bench_obs_overhead.py`` or directly with
 ``PYTHONPATH=src python benchmarks/bench_obs_overhead.py``.
@@ -30,13 +31,10 @@ ROUNDS = 7
 THRESHOLD = 0.05
 
 
-def _time_run(pipe, image) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        pipe.run(image)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _timed(pipe, image) -> float:
+    t0 = time.perf_counter()
+    pipe.run(image)
+    return time.perf_counter() - t0
 
 
 def measure() -> dict:
@@ -52,8 +50,12 @@ def measure() -> dict:
     plain_pipe.run(image)
     obs_pipe.run(image)
 
-    plain = _time_run(plain_pipe, image)
-    instrumented = _time_run(obs_pipe, image)
+    # Alternate the two sides round by round, so drift in the host's
+    # speed during the run reaches both minima alike.
+    plain = instrumented = float("inf")
+    for _ in range(ROUNDS):
+        plain = min(plain, _timed(plain_pipe, image))
+        instrumented = min(instrumented, _timed(obs_pipe, image))
     return {
         "benchmark": "obs_overhead",
         "size": SIZE,
@@ -65,6 +67,13 @@ def measure() -> dict:
     }
 
 
+def _check(result: dict) -> None:
+    assert result["overhead"] < THRESHOLD, (
+        f"observability overhead {100 * result['overhead']:.1f}% exceeds "
+        f"{100 * THRESHOLD:.0f}% — keep the instrumented hot path cheap"
+    )
+
+
 def test_obs_overhead_within_threshold(results_dir):
     result = measure()
     atomic_write_text(
@@ -74,10 +83,7 @@ def test_obs_overhead_within_threshold(results_dir):
     print(f"\nobs overhead: plain {result['plain_s'] * 1e3:.2f} ms, "
           f"instrumented {result['instrumented_s'] * 1e3:.2f} ms "
           f"({100 * result['overhead']:+.2f}%)")
-    assert result["overhead"] < THRESHOLD, (
-        f"observability overhead {100 * result['overhead']:.1f}% exceeds "
-        f"{100 * THRESHOLD:.0f}% — keep the instrumented hot path cheap"
-    )
+    _check(result)
 
 
 if __name__ == "__main__":
@@ -89,3 +95,4 @@ if __name__ == "__main__":
     atomic_write_text(out / "BENCH_obs.json",
                       json.dumps(result, indent=1) + "\n")
     print(json.dumps(result, indent=1))
+    _check(result)

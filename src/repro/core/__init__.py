@@ -8,7 +8,7 @@ the final image, a simulated event timeline, and a Fig.-13-style stage
 breakdown.
 """
 
-from .batch import BatchEngine, BatchResult, FrameFailure
+from .batch import BatchEngine, BatchResult, FrameFailure, FrameStats
 from .bufferpool import BufferPool, Workspace
 from .dag import overlap_single_run, overlap_stream, serialization_overhead
 from .config import (
@@ -30,7 +30,7 @@ from .metrics import GPU_STAGE_ORDER, stage_times_from_timeline
 from .pipeline import GPUPipeline, GPUResult
 from .plan import ExecutionPlan, PlanCache, PlanKey
 from .portability import check_flags, device_tuning_summary, retune
-from .stream import FrameStats, StreamProcessor, StreamResult
+from .stream import StreamProcessor, StreamResult
 
 __all__ = [
     "BatchEngine",

@@ -1,11 +1,12 @@
-"""Batch engine: bounded-concurrency frame streaming with ordered results.
+"""Batch engine: the frame runner, with bounded concurrency and ordered results.
 
-:class:`BatchEngine` is the throughput layer on top of
-:class:`~repro.core.stream.StreamProcessor`'s per-frame semantics: frames
-are fed to a pool of worker threads (NumPy releases the GIL on the large
-array operations, so threads suffice), in-flight work is bounded by a
-semaphore (backpressure — a fast producer cannot queue an unbounded number
-of frames), and results come back **in submission order** regardless of
+:class:`BatchEngine` runs every multi-frame workload: ad-hoc batches,
+durable jobs (:mod:`repro.lifecycle`) and, as a one-worker engine,
+:class:`~repro.core.stream.StreamProcessor`'s frame streams.  Frames are
+fed to worker threads (NumPy releases the GIL on the large array
+operations, so threads suffice), in-flight work is bounded by a semaphore
+(backpressure — a fast producer cannot queue an unbounded number of
+frames), and results come back **in submission order** regardless of
 completion order.  The pool never oversubscribes the host: the effective
 thread count is ``min(workers, os.cpu_count())``, because the per-frame
 work is compute-bound and extra threads only buy context switches.
@@ -15,10 +16,10 @@ All workers share one :class:`~repro.core.plan.PlanCache` and one
 pays the generic setup cost once and every later frame replays the captured
 plan through pooled buffers.  Each worker owns its own
 :class:`~repro.core.pipeline.GPUPipeline` (pipelines are cheap; the caches
-are the shared state) with a tracer-free view of the caller's
-:class:`~repro.obs.RunContext`: the metrics registry and logger are
-thread-safe and shared, while trace spans — a strictly LIFO per-thread
-structure — are only emitted by the submitting thread.
+are the shared state) over the caller's :class:`~repro.obs.RunContext`:
+logs, metrics and trace spans are all thread-safe, so a traced batch shows
+each frame as a ``batch.frame`` span (a child of ``batch.run``) on the row
+of the worker that served it.
 
 Throughput telemetry lands in the shared registry:
 
@@ -35,29 +36,102 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, ReproError, ValidationError, is_transient
+from ..errors import ConfigError, ReproError, RetryExhaustedError, \
+    ValidationError
 from ..obs.runctx import NULL_CONTEXT, RunContext
-from ..obs.trace import NullTracer
+from ..resilience.policy import execute
 from ..simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
+from ..simgpu.profiling import Timeline
 from ..types import Image, SharpnessParams
 from .bufferpool import BufferPool
 from .config import OPTIMIZED, OptimizationFlags
-from .pipeline import GPUPipeline
+from .pipeline import GPUPipeline, GPUResult
 from .plan import PlanCache
-from .stream import FrameStats, frame_stats, resolve_frame_id
 
 FRAMES_FAILED = "repro_frames_failed_total"
 
-#: How often a hook-driven run polls futures / the admission semaphore
-#: while waiting, so drain deadlines and hang verdicts are honored
-#: promptly.  Hook-free runs keep the original fully-blocking waits.
+#: How often the engine re-checks its lifecycle hooks (drain deadlines,
+#: hang verdicts) while it waits for a frame or an admission slot.
 _POLL_S = 0.05
+
+
+def default_frame_id(index: int) -> str:
+    """Stable fallback frame id when the caller has no natural key.
+
+    Zero-padded so lexicographic order matches submission order; callers
+    with durable identities (file names, content hashes) should pass their
+    own ids — positional ids do not survive reordered inputs.
+    """
+    return f"{index:06d}"
+
+
+def resolve_frame_id(frame_ids, index: int, frame) -> str:
+    """Resolve one frame's stable id from a ``frame_ids`` argument.
+
+    ``frame_ids`` is either ``None`` (positional fallback), a sequence
+    aligned with the frame stream, or a ``callable(index, frame) -> str``.
+    """
+    if frame_ids is None:
+        return default_frame_id(index)
+    if callable(frame_ids):
+        return str(frame_ids(index, frame))
+    return str(frame_ids[index])
+
+
+@dataclass
+class FrameStats:
+    """Per-frame record of one batch or stream run.
+
+    ``backend`` says who produced the frame (``"gpu"``, ``"cpu-fallback"``
+    when the resilience layer degraded, ``"failed"`` for an isolated
+    per-frame failure); ``error``/``attempts`` carry the failure message
+    and the number of execution attempts the frame took.  ``frame_id`` is
+    the frame's *stable* identity (input file name, content hash, or the
+    positional :func:`default_frame_id`) — checkpoints and journals key on
+    it so a resumed job survives reordered or renamed inputs.
+    ``timeline`` is the frame's simulated event timeline (``None`` for a
+    failed frame); a replayed frame shares its plan's timeline template,
+    so treat it as read-only.
+    """
+
+    index: int
+    serial_time: float
+    transfer_time: float
+    device_time: float
+    host_time: float
+    backend: str = "gpu"
+    error: str | None = None
+    attempts: int = 1
+    frame_id: str = ""
+    timeline: Timeline | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def frame_stats(index: int, result: GPUResult,
+                attempts: int = 1, frame_id: str = "") -> FrameStats:
+    """Decompose one pipeline result into per-frame statistics."""
+    by_kind = result.timeline.by_kind()
+    transfer = by_kind.get("transfer", 0.0)
+    host = by_kind.get("host", 0.0)
+    return FrameStats(
+        index=index,
+        serial_time=result.total_time,
+        transfer_time=transfer,
+        device_time=result.total_time - transfer - host,
+        host_time=host,
+        backend=getattr(result, "backend", "gpu"),
+        attempts=attempts,
+        frame_id=frame_id or default_frame_id(index),
+        timeline=result.timeline,
+    )
 
 
 @dataclass
@@ -135,19 +209,27 @@ class BatchResult:
         return self.n_frames / total
 
 
-def _worker_view(obs: RunContext) -> RunContext:
-    """The caller's context minus tracing (spans are strictly LIFO per
-    thread; metrics and logs are thread-safe and shared).  The fault plan
-    rides along: injection keeps working inside worker threads."""
-    if not obs.enabled:
-        if obs.faults is None:
-            return NULL_CONTEXT
-        return RunContext(run_id=obs.run_id, log=obs.log,
-                          metrics=obs.metrics, trace=NullTracer(),
-                          meta=obs.meta, enabled=False, faults=obs.faults)
-    return RunContext(run_id=obs.run_id, log=obs.log, metrics=obs.metrics,
-                      trace=NullTracer(), meta=obs.meta, enabled=True,
-                      faults=obs.faults)
+class _NoHooks:
+    """The lifecycle hooks of an engine given none: admit every frame,
+    never declare one hung, never abandon the in-flight ones."""
+
+    def admit(self) -> bool:
+        return True
+
+    def frame_started(self, index: int, frame_id: str) -> None:
+        return None
+
+    def frame_finished(self, index: int) -> None:
+        pass
+
+    def is_hung(self, index: int) -> bool:
+        return False
+
+    def abandon(self) -> bool:
+        return False
+
+    def on_frame(self, **_) -> None:
+        pass
 
 
 class BatchEngine:
@@ -157,7 +239,7 @@ class BatchEngine:
     ----------
     flags / params / device / cpu:
         Pipeline configuration, as for
-        :class:`~repro.core.stream.StreamProcessor`.
+        :class:`~repro.core.pipeline.GPUPipeline`.
     workers:
         Requested worker thread count (default 4).  The pool is actually
         sized to ``min(workers, os.cpu_count())``: the frame work is
@@ -178,10 +260,11 @@ class BatchEngine:
         :class:`~repro.resilience.FallbackPipeline` sharing one circuit
         breaker and one retry budget (so consecutive GPU failures
         anywhere trip the whole engine over to the CPU path together),
-        simulated worker crashes are re-dispatched, and — with
-        ``isolate=True`` — a frame that still fails yields an in-order
-        ``FrameStats(error=...)`` plus a dead letter instead of aborting
-        the batch.
+        simulated worker crashes are re-dispatched under the config's
+        retry policy (:func:`~repro.resilience.policy.execute`), and —
+        with ``isolate=True`` — a frame that still fails yields an
+        in-order ``FrameStats(error=...)`` plus a dead letter instead of
+        aborting the batch.
     timeout:
         Per-frame execution deadline in seconds (must be > 0); feeds the
         resilience layer's retry-deadline check.
@@ -238,17 +321,16 @@ class BatchEngine:
         self.keep_outputs = keep_outputs
         self.obs = obs or NULL_CONTEXT
         self.timeout = timeout
-        self.hooks = hooks
+        self.hooks = hooks or _NoHooks()
         self.resilience = self._effective_resilience(resilience)
         self.plan_cache = PlanCache()
-        self._worker_obs = _worker_view(self.obs)
         self.buffer_pool = BufferPool(max_entries=workers + 1, device=device,
-                                      obs=self._worker_obs)
+                                      obs=self.obs)
         self._breaker = None
         self._budget = None
         if self.resilience is not None:
             self._breaker = self.resilience.make_breaker(
-                name="batch", obs=self._worker_obs)
+                name="batch", obs=self.obs)
             self._budget = self.resilience.make_budget()
         self._local = threading.local()
 
@@ -276,96 +358,73 @@ class BatchEngine:
         if pipe is None:
             pipe = GPUPipeline(
                 self.flags, self.params, self.device, self.cpu,
-                obs=self._worker_obs, label="batch",
+                obs=self.obs, label="batch",
                 plan_cache=self.plan_cache, buffer_pool=self.buffer_pool,
             )
             if self.resilience is not None:
                 from ..resilience.fallback import FallbackPipeline
                 pipe = FallbackPipeline(
                     pipe, self.resilience, breaker=self._breaker,
-                    budget=self._budget, obs=self._worker_obs,
+                    budget=self._budget, obs=self.obs,
                 )
             self._local.pipeline = pipe
         return pipe
 
-    def _process(self, index: int, frame, frame_id: str = ""):
-        hooks = self.hooks
-        cancel = None
-        if hooks is not None:
-            cancel = hooks.frame_started(index, frame_id)
+    def _process(self, index: int, frame, frame_id: str, run_span):
+        """One frame on a worker, traced under the run's span."""
+        cancel = self.hooks.frame_started(index, frame_id)
         try:
-            if not isinstance(frame, Image):
-                frame = Image.from_array(np.asarray(frame))
-            faults = self.obs.faults
-            if faults is not None:
+            with self.obs.trace.span("batch.frame", parent=run_span,
+                                     index=index):
+                if not isinstance(frame, Image):
+                    frame = Image.from_array(np.asarray(frame))
+                return self._serve(index, frame, frame_id, cancel)
+        finally:
+            self.hooks.frame_finished(index)
+
+    def _serve(self, index: int, frame: Image, frame_id: str, cancel):
+        """``(result or FrameFailure, attempts)`` of one frame.
+
+        The ``worker`` fault site fires on every attempt — a simulated
+        worker crash.  Under resilience, crashes (and any other transient
+        error escaping the wrapped pipeline, which does its own
+        transfer/kernel retrying and GPU->CPU fallback underneath) are
+        re-dispatched by the retry policy, which models replacing a dead
+        worker.
+        """
+        obs = self.obs
+        attempts = 0
+
+        def attempt():
+            nonlocal attempts
+            attempts += 1
+            if obs.faults is not None:
+                obs.faults.check("worker", obs, detail=f"frame:{index}")
+            return self._pipeline().run(frame)
+
+        try:
+            if obs.faults is not None:
                 # The hang site stalls (cooperatively cancellable); a
                 # cancelled hang dies here as a FrameHangError.
-                try:
-                    faults.check("hang", self._worker_obs,
-                                 detail=f"frame:{index}", cancel=cancel)
-                except ReproError as exc:
-                    if (self.resilience is None
-                            or not self.resilience.isolate):
-                        raise
-                    return FrameFailure(
-                        index=index, frame_id=frame_id, error=str(exc),
-                        error_type=type(exc).__name__, attempts=1,
-                    ), 1
+                obs.faults.check("hang", obs, detail=f"frame:{index}",
+                                 cancel=cancel)
             if self.resilience is None:
-                if faults is not None:
-                    faults.check("worker", self._worker_obs,
-                                 detail=f"frame:{index}")
-                return self._pipeline().run(frame), 1
-            return self._process_resilient(index, frame, frame_id)
-        finally:
-            if hooks is not None:
-                hooks.frame_finished(index)
-
-    def _process_resilient(self, index: int, frame, frame_id: str = ""):
-        """One frame under the resilience policies.
-
-        The ``worker`` fault site fires here — a simulated worker crash.
-        Crashes (and any other transient error escaping the per-frame
-        pipeline wrapper) are re-dispatched up to the retry policy's
-        attempt bound, which models replacing a dead worker; the wrapped
-        pipeline does its own transfer/kernel-level retrying and GPU->CPU
-        fallback underneath.
-        """
-        obs = self._worker_obs
-        faults = obs.faults
-        policy = self.resilience.retry
-        last_exc: ReproError | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                if faults is not None:
-                    faults.check("worker", obs, detail=f"frame:{index}")
-                result = self._pipeline().run(frame)
-                if attempt > 1 and obs.enabled:
-                    obs.metrics.counter(
-                        "repro_retries_total",
-                        "Retry-policy attempt outcomes", ("outcome",),
-                    ).labels(outcome="success").inc()
-                return result, attempt
-            except ReproError as exc:
-                last_exc = exc
-                if attempt >= policy.max_attempts or not is_transient(exc):
-                    break
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "repro_retries_total",
-                        "Retry-policy attempt outcomes", ("outcome",),
-                    ).labels(outcome="retried").inc()
-                    obs.log.warning(
-                        "batch.frame_retry", frame=index, attempt=attempt,
-                        error=type(exc).__name__,
-                    )
-        if not self.resilience.isolate:
-            raise last_exc
-        return FrameFailure(
-            index=index, frame_id=frame_id, error=str(last_exc),
-            error_type=type(last_exc).__name__,
-            attempts=min(attempt, policy.max_attempts),
-        ), attempt
+                return attempt(), 1
+            return execute(attempt, self.resilience.retry, obs=obs,
+                           label=f"batch.frame:{index}")
+        except ReproError as exc:
+            if self.resilience is None:
+                raise
+            if isinstance(exc, RetryExhaustedError) and isinstance(
+                    exc.__cause__, ReproError):
+                exc = exc.__cause__
+            if not self.resilience.isolate:
+                raise exc
+            attempts = max(attempts, 1)
+            return FrameFailure(
+                index=index, frame_id=frame_id, error=str(exc),
+                error_type=type(exc).__name__, attempts=attempts,
+            ), attempts
 
     # -- main entry ------------------------------------------------------------
 
@@ -406,13 +465,13 @@ class BatchEngine:
 
         def _absorb(index: int, fid: str, res, attempts: int) -> None:
             """Fold one frame outcome into the ordered result."""
-            if isinstance(res, FrameFailure):
+            failed = isinstance(res, FrameFailure)
+            if failed:
                 result.dead_letters.append(res)
                 result.frames.append(FrameStats(
-                    index=index, serial_time=0.0, overlapped_time=0.0,
-                    transfer_time=0.0, device_time=0.0, host_time=0.0,
-                    backend="failed", error=res.error,
-                    attempts=res.attempts, frame_id=fid,
+                    index=index, serial_time=0.0, transfer_time=0.0,
+                    device_time=0.0, host_time=0.0, backend="failed",
+                    error=res.error, attempts=res.attempts, frame_id=fid,
                 ))
                 result.edge_means.append(float("nan"))
                 if self.keep_outputs:
@@ -433,14 +492,12 @@ class BatchEngine:
                 result.edge_means.append(res.edge_mean)
                 if self.keep_outputs:
                     result.outputs.append(res.final)
-            if hooks is not None:
-                failed = isinstance(res, FrameFailure)
-                hooks.on_frame(
-                    index=index, frame_id=fid, stats=result.frames[-1],
-                    output=None if failed else res.final,
-                    edge_mean=result.edge_means[-1],
-                    failure=res if failed else None,
-                )
+            hooks.on_frame(
+                index=index, frame_id=fid, stats=result.frames[-1],
+                output=None if failed else res.final,
+                edge_mean=result.edge_means[-1],
+                failure=res if failed else None,
+            )
 
         def _abandon_pending() -> None:
             """Drop every still-in-flight frame (drain deadline/abort)."""
@@ -454,11 +511,16 @@ class BatchEngine:
                     )
 
         def _collect(block: bool) -> None:
+            """Absorb finished frames in order; ``block`` waits for all."""
             while pending:
                 index, fid, future = pending[0]
-                done = future.done()
-                if (not done and hooks is not None
-                        and hooks.is_hung(index)):
+                if future.done():
+                    # A frame that finished after being declared hung
+                    # still lands here with its real result — keep it
+                    # (the hang counter already recorded the detection).
+                    pending.popleft()
+                    _absorb(index, fid, *future.result())
+                elif hooks.is_hung(index):
                     # Hung verdict from the watchdog: dead-letter the
                     # frame now instead of waiting on its worker (the
                     # cancel token reclaims the thread cooperatively).
@@ -470,80 +532,44 @@ class BatchEngine:
                               "watchdog",
                         error_type="FrameHangError", attempts=1,
                     ), 1)
-                    continue
-                if done:
-                    # A frame that finished after being declared hung
-                    # still lands here with its real result — keep it
-                    # (the hang counter already recorded the detection).
-                    pending.popleft()
-                    res, attempts = future.result()
-                    _absorb(index, fid, res, attempts)
-                    continue
-                if not block:
+                elif not block:
                     return
-                if hooks is None:
-                    res, attempts = future.result()
-                    pending.popleft()
-                    _absorb(index, fid, res, attempts)
-                    continue
-                if hooks.abandon():
+                elif hooks.abandon():
                     _abandon_pending()
                     return
-                try:
-                    future.result(timeout=_POLL_S)
-                except FuturesTimeout:
-                    continue
-                # Completed within the poll window: absorbed next pass.
+                else:
+                    wait((future,), timeout=_POLL_S)
 
-        def _admit(index: int) -> bool:
+        def _admit() -> bool:
             """Acquire a backpressure slot, honoring lifecycle stops."""
-            if hooks is None:
-                inflight.acquire()
-                return True
-            while True:
-                if not hooks.admit():
-                    result.interrupted = True
-                    return False
+            while hooks.admit():
                 if inflight.acquire(timeout=_POLL_S):
                     return True
                 _collect(block=False)
+            result.interrupted = True
+            return False
 
         start = time.perf_counter()
-        with obs.trace.span("batch.run", workers=self.workers):
-            if self.effective_workers == 1:
-                # One effective worker: dispatch inline.  A pool of one
-                # thread computes the same serial schedule but pays a GIL
-                # handoff + context switch per frame (~2 ms/frame measured
-                # on a single-core host).
+        with obs.trace.span("batch.run", workers=self.workers) as run_span:
+            pool = ThreadPoolExecutor(max_workers=self.effective_workers,
+                                      thread_name_prefix="repro-batch")
+            try:
                 for index, frame in enumerate(frames):
-                    if hooks is not None and not hooks.admit():
-                        result.interrupted = True
+                    if not _admit():
                         break
                     fid = resolve_frame_id(frame_ids, index, frame)
-                    res, attempts = self._process(index, frame, fid)
-                    _absorb(index, fid, res, attempts)
-            else:
-                pool = ThreadPoolExecutor(
-                    max_workers=self.effective_workers,
-                    thread_name_prefix="repro-batch")
-                try:
-                    for index, frame in enumerate(frames):
-                        if not _admit(index):  # backpressure + lifecycle
-                            break
-                        fid = resolve_frame_id(frame_ids, index, frame)
-                        future = pool.submit(
-                            self._process, index, frame, fid)
-                        future.add_done_callback(
-                            lambda _f: inflight.release())
-                        pending.append((index, fid, future))
-                        _collect(block=False)
-                    _collect(block=True)
-                finally:
-                    # An interrupted run must not wait on abandoned (and
-                    # possibly hung) workers; cooperative hang cancel
-                    # reclaims their threads in the background.
-                    pool.shutdown(wait=not result.interrupted,
-                                  cancel_futures=result.interrupted)
+                    future = pool.submit(self._process, index, frame, fid,
+                                         run_span)
+                    future.add_done_callback(lambda _f: inflight.release())
+                    pending.append((index, fid, future))
+                    _collect(block=False)
+                _collect(block=True)
+            finally:
+                # An interrupted run must not wait on abandoned (and
+                # possibly hung) workers; cooperative hang cancel
+                # reclaims their threads in the background.
+                pool.shutdown(wait=not result.interrupted,
+                              cancel_futures=result.interrupted)
         result.wall_seconds = time.perf_counter() - start
         if not result.frames and not result.interrupted:
             raise ValidationError("empty frame sequence")

@@ -100,10 +100,9 @@ def overlap_single_run(timeline: Timeline) -> Timeline:
 def overlap_stream(timelines: list[Timeline]) -> Timeline:
     """Re-schedule a frame stream with per-frame stage DAGs.
 
-    Strictly more overlap than
-    :func:`repro.simgpu.schedule.pipelined_schedule` (which keeps each
-    frame's events serially chained): here frames exploit both intra-frame
-    slack and cross-frame engine pipelining.
+    Frames exploit both intra-frame slack (independent stages overlap) and
+    cross-frame engine pipelining (frame N's transfers run under frame
+    N-1's kernels).
     """
     if not timelines:
         raise ValidationError("no timelines to schedule")

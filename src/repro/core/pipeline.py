@@ -170,6 +170,15 @@ class GPUPipeline:
         if not self.flags.eliminate_sync:
             queue.finish(stage=stage)
 
+    @staticmethod
+    def _count_lookup(obs: RunContext, outcome: str) -> None:
+        if obs.enabled:
+            obs.metrics.counter(
+                "repro_plan_cache_requests_total",
+                "ExecutionPlan cache lookups by outcome",
+                ("outcome",),
+            ).labels(outcome=outcome).inc()
+
     # -- main entry -----------------------------------------------------------
 
     def run(self, image: Image | np.ndarray) -> GPUResult:
@@ -179,20 +188,19 @@ class GPUPipeline:
         with obs.trace.span("gpu.run", pipeline=self.label,
                             h=image.height, w=image.width, mode=self.mode):
             key = self._plan_key(image) if self._plan_eligible() else None
-            plan = self.plan_cache.get(key) if key is not None else None
-            if key is not None and obs.enabled:
-                obs.metrics.counter(
-                    "repro_plan_cache_requests_total",
-                    "ExecutionPlan cache lookups by outcome",
-                    ("outcome",),
-                ).labels(outcome="hit" if plan is not None else "miss").inc()
-            if plan is not None:
-                result = self._run_planned(image, plan, obs)
+            if key is None:
+                result, _ = self._run_instrumented(image, obs)
             else:
-                result, queue = self._run_instrumented(image, obs)
-                if key is not None:
-                    self.plan_cache.put(
-                        key, self._capture_plan(key, result, queue))
+                def capture():
+                    nonlocal result
+                    self._count_lookup(obs, "miss")
+                    result, queue = self._run_instrumented(image, obs)
+                    return self._capture_plan(key, result, queue)
+
+                plan, hit = self.plan_cache.get_or_capture(key, capture)
+                if hit:
+                    self._count_lookup(obs, "hit")
+                    result = self._run_planned(image, plan, obs)
         obs.observe_stages(self.label, result.times.times,
                            declare=GPU_STAGE_ORDER)
         obs.record_run(self.label, result.total_time)

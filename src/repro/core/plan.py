@@ -553,6 +553,8 @@ class PlanCache:
         self.maxsize = maxsize
         self._plans: OrderedDict[PlanKey, ExecutionPlan] = OrderedDict()
         self._lock = threading.RLock()
+        #: Key being captured -> event set when that capture ends.
+        self._capturing: dict[PlanKey, threading.Event] = {}
         self.hits = 0
         self.misses = 0
 
@@ -566,6 +568,37 @@ class PlanCache:
             self._plans.move_to_end(key)
             self.hits += 1
             return plan
+
+    def get_or_capture(self, key: PlanKey, capture
+                       ) -> tuple[ExecutionPlan, bool]:
+        """``(plan, hit)`` for ``key``; a miss caches ``capture()``'s plan.
+
+        Single-flight: misses while a capture of ``key`` runs wait for it
+        and count as hits.  If it raises, they wake up and capture for
+        themselves (a miss each).
+        """
+        with self._lock:
+            done = self._capturing.get(key)
+            leader = done is None
+            if leader:
+                plan = self.get(key)
+                if plan is not None:
+                    return plan, True
+                done = self._capturing[key] = threading.Event()
+        try:
+            if not leader:
+                done.wait()
+                plan = self.get(key)
+                if plan is not None:
+                    return plan, True
+            plan = capture()
+            self.put(key, plan)
+            return plan, False
+        finally:
+            if leader:
+                with self._lock:
+                    del self._capturing[key]
+                done.set()
 
     def put(self, key: PlanKey, plan: ExecutionPlan) -> None:
         with self._lock:

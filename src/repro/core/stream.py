@@ -1,15 +1,19 @@
 """Frame-stream processing: the paper's real-time TV/camera use case.
 
 :class:`StreamProcessor` runs a sharpness pipeline over a sequence of
-frames and aggregates throughput statistics.  It also models the natural
-next optimization the paper's pipeline enables but does not implement:
-**copy/compute overlap** (double buffering).  With two sets of device
-buffers and an out-of-order queue, frame N's PCI-E transfers can hide under
-frame N-1's kernels, so the steady-state frame time is
-``max(transfer_time, device_time) + host_time`` instead of their sum.
+frames and reports the stream's *simulated* steady-state throughput.  The
+frames themselves run through a one-worker
+:class:`~repro.core.batch.BatchEngine` (the repo's one frame runner), so a
+stream converts frames, assigns ids, applies resilience and emits per-frame
+telemetry exactly like a batch does.
 
-The overlap model is derived from the same per-event timeline the in-order
-pipeline produces, so its speedup is exactly the transfer share the
+On top of that the stream models the natural next optimization the paper's
+pipeline enables but does not implement: **copy/compute overlap** (double
+buffering).  With ``overlap_transfers=True``,
+:func:`~repro.core.dag.overlap_stream` re-schedules every frame's simulated
+timeline along its stage DAG on the DMA / compute / host engines, so frame
+N's PCI-E transfers hide under frame N-1's kernels; the schedule's makespan
+is the stream's total time.  The gain is bounded by the transfer share the
 Fig. 13(c) breakdown reports.
 """
 
@@ -20,51 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
-from ..obs.runctx import NULL_CONTEXT, RunContext
+from ..obs.runctx import RunContext
+from ..simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
 from ..simgpu.profiling import Timeline
-from .dag import overlap_stream
-from ..types import Image, SharpnessParams
+from ..types import SharpnessParams
+from .batch import BatchEngine, FrameStats
 from .config import OPTIMIZED, OptimizationFlags
-from .pipeline import GPUPipeline, GPUResult
-
-
-def default_frame_id(index: int) -> str:
-    """Stable fallback frame id when the caller has no natural key.
-
-    Zero-padded so lexicographic order matches submission order; callers
-    with durable identities (file names, content hashes) should pass their
-    own ids — positional ids do not survive reordered inputs.
-    """
-    return f"{index:06d}"
-
-
-@dataclass
-class FrameStats:
-    """Per-frame record of one stream run.
-
-    ``backend`` says who produced the frame (``"gpu"``, ``"cpu-fallback"``
-    when the resilience layer degraded, ``"failed"`` for an isolated
-    per-frame failure); ``error``/``attempts`` carry the failure message
-    and the number of execution attempts the frame took.  ``frame_id`` is
-    the frame's *stable* identity (input file name, content hash, or the
-    positional :func:`default_frame_id`) — checkpoints and journals key on
-    it so a resumed job survives reordered or renamed inputs.
-    """
-
-    index: int
-    serial_time: float
-    overlapped_time: float
-    transfer_time: float
-    device_time: float
-    host_time: float
-    backend: str = "gpu"
-    error: str | None = None
-    attempts: int = 1
-    frame_id: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
+from .dag import overlap_stream
 
 
 @dataclass
@@ -72,11 +38,9 @@ class StreamResult:
     """Aggregate result of a stream run."""
 
     frames: list[FrameStats] = field(default_factory=list)
-    overlap: bool = False
     outputs: list[np.ndarray] = field(default_factory=list)
-    #: Exact resource-scheduled timeline across all frames (DMA / compute /
-    #: host engines overlap); its makespan refines the per-frame analytic
-    #: overlap estimate.
+    #: Resource-scheduled timeline across all frames (DMA / compute / host
+    #: engines overlap); set when the stream models overlap.
     pipelined_timeline: Timeline | None = None
 
     @property
@@ -85,17 +49,21 @@ class StreamResult:
 
     @property
     def total_time(self) -> float:
-        if self.overlap:
-            if self.pipelined_timeline is not None:
-                return self.pipelined_timeline.total
-            return sum(f.overlapped_time for f in self.frames)
+        if self.pipelined_timeline is not None:
+            return self.pipelined_timeline.total
         return sum(f.serial_time for f in self.frames)
 
     @property
+    def n_served(self) -> int:
+        """Frames that produced pixels (failed frames keep their slot)."""
+        return sum(1 for f in self.frames if f.ok)
+
+    @property
     def mean_frame_time(self) -> float:
-        if not self.frames:
-            raise ValidationError("stream produced no frames")
-        return self.total_time / self.n_frames
+        """Simulated time per served frame."""
+        if not self.n_served:
+            raise ValidationError("stream served no frames")
+        return self.total_time / self.n_served
 
     @property
     def fps(self) -> float:
@@ -118,45 +86,6 @@ class StreamResult:
         return sum(f.transfer_time for f in self.frames) / total
 
 
-def _overlapped_frame_time(transfer: float, device: float,
-                           host: float) -> float:
-    """Steady-state frame time with double-buffered transfers."""
-    return max(transfer, device) + host
-
-
-def resolve_frame_id(frame_ids, index: int, frame) -> str:
-    """Resolve one frame's stable id from a ``frame_ids`` argument.
-
-    ``frame_ids`` is either ``None`` (positional fallback), a sequence
-    aligned with the frame stream, or a ``callable(index, frame) -> str``.
-    """
-    if frame_ids is None:
-        return default_frame_id(index)
-    if callable(frame_ids):
-        return str(frame_ids(index, frame))
-    return str(frame_ids[index])
-
-
-def frame_stats(index: int, result: GPUResult,
-                attempts: int = 1, frame_id: str = "") -> FrameStats:
-    """Decompose one pipeline result into per-frame stream statistics."""
-    by_kind = result.timeline.by_kind()
-    transfer = by_kind.get("transfer", 0.0)
-    host = by_kind.get("host", 0.0)
-    device = result.total_time - transfer - host
-    return FrameStats(
-        index=index,
-        serial_time=result.total_time,
-        overlapped_time=_overlapped_frame_time(transfer, device, host),
-        transfer_time=transfer,
-        device_time=device,
-        host_time=host,
-        backend=getattr(result, "backend", "gpu"),
-        attempts=attempts,
-        frame_id=frame_id or default_frame_id(index),
-    )
-
-
 class StreamProcessor:
     """Run a sharpness pipeline over a frame sequence.
 
@@ -170,85 +99,60 @@ class StreamProcessor:
         Retain every sharpened frame on the result (memory-heavy for long
         streams).
     obs:
-        Optional :class:`~repro.obs.RunContext`, forwarded to the
-        underlying :class:`~repro.core.pipeline.GPUPipeline`, so stream
-        runs show up in logs/metrics/traces like single-frame runs do; the
-        stream itself contributes a ``stream.run`` span, a
-        ``repro_stream_fps`` gauge and a completion log record.
-    pipeline:
-        Reuse an existing pipeline (plan cache and buffer pool included)
-        instead of building one; ``flags``/``params``/``device``/``cpu``
-        are ignored when given.
+        Optional :class:`~repro.obs.RunContext`, shared with the frame
+        runner, so stream runs show up in logs/metrics/traces like
+        single-frame runs do; the stream itself contributes a
+        ``stream.run`` span, a ``repro_stream_fps`` gauge and a completion
+        log record.
     resilience:
-        Optional :class:`~repro.resilience.ResilienceConfig`.  When given,
-        the stream's pipeline is wrapped in a
-        :class:`~repro.resilience.FallbackPipeline`: transient faults are
-        retried, a tripped breaker routes frames to the CPU pipeline, and
-        degraded frames show up as ``FrameStats.backend ==
-        "cpu-fallback"``.
+        Optional :class:`~repro.resilience.ResilienceConfig`, with the
+        batch engine's semantics: transient faults are retried, a tripped
+        breaker routes frames to the CPU pipeline (``FrameStats.backend ==
+        "cpu-fallback"``), and with ``isolate=True`` a frame that still
+        fails keeps its slot as ``FrameStats(error=...)`` and is left out
+        of the overlap schedule.
     """
 
     def __init__(self, flags: OptimizationFlags = OPTIMIZED,
                  params: SharpnessParams | None = None, *,
-                 device=None, cpu=None, overlap_transfers: bool = False,
+                 device: DeviceSpec = W8000, cpu: CPUSpec = I5_3470,
+                 overlap_transfers: bool = False,
                  keep_outputs: bool = False,
                  obs: RunContext | None = None,
-                 pipeline: GPUPipeline | None = None,
                  resilience=None) -> None:
-        self.obs = obs or NULL_CONTEXT
-        if pipeline is not None:
-            self.pipeline = pipeline
-        else:
-            kwargs = {}
-            if device is not None:
-                kwargs["device"] = device
-            if cpu is not None:
-                kwargs["cpu"] = cpu
-            self.pipeline = GPUPipeline(flags, params, obs=obs, **kwargs)
-        if resilience is not None:
-            from ..resilience.fallback import FallbackPipeline
-            if not isinstance(self.pipeline, FallbackPipeline):
-                self.pipeline = FallbackPipeline(
-                    self.pipeline, resilience, obs=self.obs)
+        self.engine = BatchEngine(
+            flags, params, device=device, cpu=cpu, workers=1,
+            keep_outputs=keep_outputs, obs=obs, resilience=resilience,
+        )
+        self.obs = self.engine.obs
         self.overlap_transfers = overlap_transfers
-        self.keep_outputs = keep_outputs
-
-    def _frame_stats(self, index: int, result: GPUResult) -> FrameStats:
-        return frame_stats(index, result)
 
     def run(self, frames, *, frame_ids=None) -> StreamResult:
         """Process ``frames`` (arrays or :class:`~repro.types.Image`).
 
         ``frame_ids`` optionally names each frame durably (a sequence
         aligned with ``frames`` or a ``callable(index, frame) -> str``);
-        omitted, frames get positional :func:`default_frame_id` ids.
+        omitted, frames get positional
+        :func:`~repro.core.batch.default_frame_id` ids.
         """
         obs = self.obs
-        result = StreamResult(overlap=self.overlap_transfers)
-        timelines: list[Timeline] = []
         with obs.trace.span("stream.run", overlap=self.overlap_transfers):
-            for index, frame in enumerate(frames):
-                if not isinstance(frame, Image):
-                    frame = Image.from_array(np.asarray(frame))
-                fid = resolve_frame_id(frame_ids, index, frame)
-                res = self.pipeline.run(frame)
-                result.frames.append(frame_stats(index, res, frame_id=fid))
-                timelines.append(res.timeline)
-                if self.keep_outputs:
-                    result.outputs.append(res.final)
-            if not result.frames:
-                raise ValidationError("empty frame sequence")
-            if self.overlap_transfers:
+            batch = self.engine.run(frames, frame_ids=frame_ids)
+            result = StreamResult(frames=batch.frames, outputs=batch.outputs)
+            timelines = [f.timeline for f in batch.frames if f.ok]
+            if self.overlap_transfers and timelines:
                 result.pipelined_timeline = overlap_stream(timelines)
         if obs.enabled:
-            obs.metrics.gauge(
-                "repro_stream_fps",
-                "Simulated steady-state frames per second of the last "
-                "stream run",
-            ).set(result.fps)
+            fps = result.fps if result.n_served else None
+            if fps is not None:
+                obs.metrics.gauge(
+                    "repro_stream_fps",
+                    "Simulated steady-state frames per second of the last "
+                    "stream run",
+                ).set(fps)
             obs.log.info(
                 "stream.complete", frames=result.n_frames,
-                simulated_fps=result.fps,
+                served=result.n_served, simulated_fps=fps,
                 overlap=self.overlap_transfers,
             )
         return result

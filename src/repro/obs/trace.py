@@ -18,6 +18,11 @@ Host spans and simulated events run on different clocks (wall time vs the
 simulator's), which Chrome trace handles naturally: each merged timeline
 gets its own ``pid`` whose clock starts at zero.
 
+The tracer is thread-safe: each thread nests its spans on its own stack
+and gets its own ``tid`` row under the host process (the first thread to
+open a span is ``tid=1``), so a batch run's worker frames show up next to
+the submitting thread's spans.
+
 All writes are atomic (temp file + rename) and accept ``str`` or
 ``pathlib.Path``.
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -50,6 +56,7 @@ class Span:
     end: float | None = None
     parent: "Span | None" = None
     depth: int = 0
+    tid: int = 1
     args: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -80,6 +87,15 @@ class _SpanHandle:
         return False
 
 
+class _ThreadState(threading.local):
+    """One thread's open-span stack and Chrome-trace row."""
+
+    tid = 0
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
 class Tracer:
     """Collects nested host spans plus merged simulated timelines."""
 
@@ -87,7 +103,10 @@ class Tracer:
         self._clock = clock
         self._epoch = clock()
         self.spans: list[Span] = []
-        self._stack: list[Span] = []
+        self._local = _ThreadState()
+        self._lock = threading.Lock()
+        #: Thread name per host row; ``tid`` is the index + 1.
+        self._threads: list[str] = []
         self._merged: list[dict] = []
         self._next_pid = HOST_PID + 1
 
@@ -97,23 +116,44 @@ class Tracer:
         """Seconds since the tracer was created."""
         return self._clock() - self._epoch
 
-    def span(self, name: str, **attrs: Any) -> _SpanHandle:
-        """Open a span; use as a context manager."""
-        parent = self._stack[-1] if self._stack else None
+    def _state(self) -> _ThreadState:
+        """This thread's state, given a ``tid`` row on first use."""
+        state = self._local
+        if not state.tid:
+            with self._lock:
+                self._threads.append(threading.current_thread().name)
+                state.tid = len(self._threads)
+        return state
+
+    def span(self, name: str, parent: Span | None = None,
+             **attrs: Any) -> _SpanHandle:
+        """Open a span on this thread; use as a context manager.
+
+        ``parent`` adopts a span of another thread as the parent of this
+        thread's outermost span (a worker's frame under the run that
+        submitted it); inside an open span it is ignored.
+        """
+        state = self._state()
+        stack = state.stack
+        if stack:
+            parent = stack[-1]
         span = Span(
             name=name, start=self.now(), parent=parent,
-            depth=len(self._stack), args=dict(attrs),
+            depth=parent.depth + 1 if parent is not None else 0,
+            tid=state.tid, args=dict(attrs),
         )
-        self.spans.append(span)
-        self._stack.append(span)
+        with self._lock:
+            self.spans.append(span)
+        stack.append(span)
         return _SpanHandle(self, span)
 
     def _close(self, span: Span, *, error: bool = False) -> None:
-        if not self._stack or self._stack[-1] is not span:
+        stack = self._local.stack
+        if not stack or stack[-1] is not span:
             raise ValidationError(
                 f"span {span.name!r} closed out of order"
             )
-        self._stack.pop()
+        stack.pop()
         span.end = self.now()
         if error:
             span.args.setdefault("error", True)
@@ -129,45 +169,55 @@ class Tracer:
         (duck-typed so :mod:`repro.obs` does not import the simulator).
         Returns the pid assigned to the merged process row.
         """
-        if pid is None:
-            pid = self._next_pid
-            self._next_pid += 1
-        elif pid == HOST_PID:
+        if pid == HOST_PID:
             raise ValidationError(
                 f"pid {HOST_PID} is reserved for host spans"
             )
-        self._merged.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": label},
-        })
-        for kind, tid in _SIM_ROWS.items():
+        with self._lock:
+            if pid is None:
+                pid = self._next_pid
+                self._next_pid += 1
             self._merged.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": kind},
+                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                "args": {"name": label},
             })
-        for e in timeline.events:
-            self._merged.append({
-                "name": e.name,
-                "cat": e.kind,
-                "ph": "X",
-                "ts": e.start * 1e6,
-                "dur": e.duration * 1e6,
-                "pid": pid,
-                "tid": _SIM_ROWS.get(e.kind, 9),
-                "args": {"stage": e.stage},
-            })
+            for kind, tid in _SIM_ROWS.items():
+                self._merged.append({
+                    "name": "thread_name", "ph": "M", "pid": pid,
+                    "tid": tid, "args": {"name": kind},
+                })
+            for e in timeline.events:
+                self._merged.append({
+                    "name": e.name,
+                    "cat": e.kind,
+                    "ph": "X",
+                    "ts": e.start * 1e6,
+                    "dur": e.duration * 1e6,
+                    "pid": pid,
+                    "tid": _SIM_ROWS.get(e.kind, 9),
+                    "args": {"stage": e.stage},
+                })
         return pid
 
     # -- export --------------------------------------------------------------
 
     def chrome_trace(self) -> dict:
         """The whole trace in Chrome trace-event format (dict form)."""
+        with self._lock:
+            spans = list(self.spans)
+            threads = list(self._threads)
+            merged = list(self._merged)
         events: list[dict] = [{
             "name": "process_name", "ph": "M", "pid": HOST_PID, "tid": 1,
             "args": {"name": "host"},
         }]
+        for tid, thread in enumerate(threads, 1):
+            events.append({
+                "name": "thread_name", "ph": "M", "pid": HOST_PID,
+                "tid": tid, "args": {"name": thread},
+            })
         end_fallback = self.now()
-        for span in self.spans:
+        for span in spans:
             end = span.end if span.end is not None else end_fallback
             events.append({
                 "name": span.name,
@@ -176,10 +226,10 @@ class Tracer:
                 "ts": span.start * 1e6,
                 "dur": (end - span.start) * 1e6,
                 "pid": HOST_PID,
-                "tid": 1,
+                "tid": span.tid,
                 "args": dict(span.args),
             })
-        events.extend(self._merged)
+        events.extend(merged)
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def write_chrome_trace(self, path: str | pathlib.Path) -> pathlib.Path:
@@ -214,7 +264,8 @@ _NULL_SPAN = _NullSpanHandle()
 class NullTracer(Tracer):
     """A tracer that records nothing (disabled observability)."""
 
-    def span(self, name: str, **attrs: Any) -> _NullSpanHandle:  # type: ignore[override]
+    def span(self, name: str, parent: Any = None,  # type: ignore[override]
+             **attrs: Any) -> _NullSpanHandle:
         return _NULL_SPAN
 
     def merge_timeline(self, timeline, *, label: str = "simulated device",

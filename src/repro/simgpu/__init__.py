@@ -22,7 +22,7 @@ from .costmodel import KernelCost, kernel_time
 from .memory import CheckedArray, GlobalBuffer, LocalMemory
 from .pcie import PCIeSpec
 from .profiling import Event, Timeline
-from .schedule import ResourceScheduler, pipelined_schedule
+from .schedule import ResourceScheduler
 from .scheduler import parallel_utilization
 
 __all__ = [
@@ -42,6 +42,5 @@ __all__ = [
     "Event",
     "Timeline",
     "ResourceScheduler",
-    "pipelined_schedule",
     "parallel_utilization",
 ]

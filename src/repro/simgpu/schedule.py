@@ -10,11 +10,10 @@ over named exclusive resources (``dma`` for the PCI-E copy engine,
 ``compute`` for the shader core, ``host`` for CPU-side steps): an operation
 starts when its dependencies have finished *and* its resource is free.
 
-:func:`pipelined_schedule` applies it to a sequence of recorded per-frame
-timelines: each frame keeps its internal (data-dependent) order, frames
-compete for resources — so frame N's transfers hide under frame N-1's
-kernels exactly as with double buffering.  Used by
-:class:`repro.core.stream.StreamProcessor`.
+:func:`repro.core.dag.overlap_stream` applies it to a sequence of recorded
+per-frame timelines: each frame keeps its stage dependencies, frames compete
+for the engines — so frame N's transfers hide under frame N-1's kernels
+exactly as with double buffering.
 """
 
 from __future__ import annotations
@@ -154,24 +153,3 @@ class ResourceScheduler:
         for op in self.ops:
             out[op.resource] += op.duration
         return out
-
-
-def pipelined_schedule(timelines: list[Timeline]) -> Timeline:
-    """Overlap a sequence of serially-recorded frame timelines.
-
-    Within a frame the recorded order is preserved as a dependency chain
-    (the pipeline's stages are data-dependent); across frames only the
-    resources serialize, so DMA/compute/host phases of consecutive frames
-    overlap.
-    """
-    if not timelines:
-        raise ValidationError("no timelines to schedule")
-    sched = ResourceScheduler()
-    for f, tl in enumerate(timelines):
-        prev: int | None = None
-        for e in tl.events:
-            resource = KIND_TO_RESOURCE.get(e.kind, "compute")
-            deps = (prev,) if prev is not None else ()
-            prev = sched.add(f"f{f}:{e.name}", e.kind, e.duration,
-                             resource, deps, stage=e.stage)
-    return sched.schedule()

@@ -158,3 +158,24 @@ class TestValidation:
             source=lambda: iter(frames10))
         assert result.n_frames == 10
         assert result.ok
+
+
+class TestWorkerRetry:
+    def test_exhausted_crash_keeps_its_type_and_attempts(self, frames10):
+        """Worker-crash re-dispatch runs through the shared retry loop:
+        the dead letter names the crash, not the retry wrapper, and the
+        exhaustion is counted like any other retry outcome."""
+        plan = FaultPlan.parse("worker:rate=1.0,kind=transient;seed=0")
+        obs = quiet_obs(faults=plan)
+        cfg = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0), isolate=True)
+        result = BatchEngine(OPTIMIZED, workers=1, obs=obs,
+                             resilience=cfg).run(frames10[:1])
+        (letter,) = result.dead_letters
+        assert letter.error_type == "WorkerCrashError"
+        assert letter.attempts == 3
+        assert result.frames[0].attempts == 3
+        retries = obs.metrics.get("repro_retries_total")
+        outcomes = {c.labels["outcome"]: c.value for c in retries.children}
+        assert outcomes["exhausted"] == 1
+        assert outcomes["retried"] == 2

@@ -43,11 +43,10 @@ class TestBatchEngine:
         engine = BatchEngine(OPTIMIZED, workers=3)
         result = engine.run(frames)
         stats = result.plan_stats
-        # Cold-start can double-miss (two workers race before the first
-        # plan lands — put is idempotent), but the cache must then carry
-        # nearly every frame.
-        assert stats["misses"] <= engine.effective_workers
-        assert stats["hits"] >= len(frames) - stats["misses"]
+        # Captures are single-flight: workers that miss the cold key
+        # while the first one captures wait for its plan.
+        assert stats["misses"] == 1
+        assert stats["hits"] == len(frames) - 1
         assert stats["size"] == 1
 
     def test_throughput_numbers(self, frames):
@@ -100,6 +99,19 @@ class TestBatchObservability:
         assert 'repro_plan_cache_requests_total{outcome="hit"}' in text
         assert 'repro_plan_cache_requests_total{outcome="miss"}' in text
         assert "repro_bufferpool_idle" in text
+
+    def test_worker_frames_traced_on_worker_rows(self, frames):
+        obs = RunContext.create("batch-test", log_level="warning",
+                                log_stream=io.StringIO())
+        BatchEngine(OPTIMIZED, workers=2, obs=obs).run(frames[:8])
+        events = obs.trace.chrome_trace()["traceEvents"]
+        rows = {e["tid"]: e["args"]["name"] for e in events
+                if e["name"] == "thread_name" and e["pid"] == 1}
+        runs = [e for e in events if e["name"] == "gpu.run"]
+        assert len(runs) == 8
+        assert all(rows[e["tid"]].startswith("repro-batch") for e in runs)
+        (batch,) = [e for e in events if e["name"] == "batch.run"]
+        assert not rows[batch["tid"]].startswith("repro-batch")
 
     def test_batch_complete_logged(self, frames):
         stream = io.StringIO()

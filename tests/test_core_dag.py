@@ -7,6 +7,7 @@ from repro.core import (
     OPTIMIZED,
     GPUPipeline,
     overlap_single_run,
+    overlap_stream,
     serialization_overhead,
 )
 from repro.core.dag import READBACK, STAGE_DEPS, UPLOAD, _classify
@@ -99,3 +100,39 @@ class TestOverlap:
         tl.record("weird", "kernel", 1e-3, stage="mystery")
         with pytest.raises(ValidationError, match="unknown"):
             overlap_single_run(tl)
+
+
+def _frame(upload=10.0, kernel=10.0, readback=2.0):
+    """One frame's in-order timeline: upload -> sharpness -> readback."""
+    tl = Timeline()
+    tl.record("write:src", "transfer", upload, stage="data_init")
+    tl.record("kernel:sharpness", "kernel", kernel, stage="sharpness")
+    if readback:
+        tl.record("read:final", "transfer", readback, stage="data_init")
+    return tl
+
+
+class TestOverlapStream:
+    def test_single_frame_keeps_its_dependency_chain(self):
+        assert overlap_stream([_frame()]).total == 22.0
+
+    def test_two_frames_overlap(self):
+        out = overlap_stream([_frame(), _frame()])
+        assert out.total < 2 * 22.0  # serial
+        assert out.total >= 24.0     # the DMA engine's busy time
+
+    def test_makespan_at_least_bottleneck(self):
+        out = overlap_stream([_frame(7.0, 3.0, 0.0)] * 5)
+        assert out.total >= 5 * 7.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError):
+            overlap_stream([])
+
+    def test_work_is_conserved(self):
+        out = overlap_stream([_frame(10.0, 5.0, 0.0)] * 3)
+        assert sum(e.duration for e in out.events) == 3 * 15.0
+
+    def test_gantt_renders_overlap(self):
+        out = overlap_stream([_frame(10.0, 10.0, 0.0)] * 2)
+        assert "f1:write:src" in out.ascii_gantt(20)

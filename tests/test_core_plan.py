@@ -4,6 +4,7 @@ import dataclasses
 import io
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.core import (
     bufferpool,
     plan,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, KernelLaunchFault
 from repro.obs import RunContext
 from repro.simgpu.device import W8000
 from repro.types import Image
@@ -233,6 +234,98 @@ class TestStripConcurrency:
         monkeypatch.setattr(plan, "_sharpen_strip", original)
         assert np.array_equal(pipe.run(frame).final,
                               algo.sharpen(frame)["final"])
+
+
+class TestSingleFlightCapture:
+    """Pipelines sharing one cache miss one cold key at the same time."""
+
+    N = 4
+
+    def _race(self, monkeypatch, frame, *, capture_fails=False):
+        cache = PlanCache()
+        start = threading.Barrier(self.N)
+        lock = threading.Lock()
+        entered, captures = [], []
+        real_lookup = cache.get_or_capture
+        real_run = GPUPipeline._run_instrumented
+
+        def get_or_capture(key, capture):
+            start.wait(timeout=10)
+            with lock:
+                entered.append(key)
+            return real_lookup(key, capture)
+
+        def run_instrumented(pipe, image, obs):
+            with lock:
+                captures.append(threading.get_ident())
+                first = len(captures) == 1
+            # Hold the capture open until every thread has looked up.
+            deadline = time.monotonic() + 10
+            while len(entered) < self.N and time.monotonic() < deadline:
+                time.sleep(0.001)
+            if first and capture_fails:
+                raise KernelLaunchFault("capture failed")
+            return real_run(pipe, image, obs)
+
+        monkeypatch.setattr(cache, "get_or_capture", get_or_capture)
+        monkeypatch.setattr(GPUPipeline, "_run_instrumented",
+                            run_instrumented)
+        outcomes = [None] * self.N
+
+        def work(i):
+            try:
+                outcomes[i] = GPUPipeline(OPTIMIZED,
+                                          plan_cache=cache).run(frame)
+            except KernelLaunchFault as exc:
+                outcomes[i] = exc
+
+        # Daemon threads: a waiter left hanging fails the test below
+        # instead of blocking the interpreter's exit.
+        threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                   for i in range(self.N)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        return cache, captures, outcomes
+
+    def test_one_capture_and_the_other_misses_hit(self, monkeypatch,
+                                                 frames):
+        cache, captures, outcomes = self._race(monkeypatch, frames[0])
+        assert len(captures) == 1
+        assert cache.stats() == {"hits": self.N - 1, "misses": 1,
+                                 "size": 1}
+        for res in outcomes:
+            assert np.array_equal(res.final, outcomes[0].final)
+
+    def test_failed_capture_wakes_the_waiters(self, monkeypatch, frames):
+        cache, _, outcomes = self._race(monkeypatch, frames[0],
+                                        capture_fails=True)
+        failed = [o for o in outcomes if isinstance(o, KernelLaunchFault)]
+        assert len(failed) == 1
+        # Every waiter woke up and was served (generic or replayed).
+        assert len(cache) == 1
+        stats = cache.stats()
+        assert stats["misses"] >= 2
+        assert stats["hits"] + stats["misses"] == self.N
+        ref = GPUPipeline(OPTIMIZED).run(frames[0]).final
+        for res in outcomes:
+            if not isinstance(res, KernelLaunchFault):
+                assert np.array_equal(res.final, ref)
+
+    def test_failed_capture_leaves_the_key_capturable(self):
+        cache = PlanCache()
+
+        def fail():
+            raise KernelLaunchFault("capture failed")
+
+        with pytest.raises(KernelLaunchFault):
+            cache.get_or_capture("key", fail)
+        plan = object()
+        assert cache.get_or_capture("key", lambda: plan) == (plan, False)
+        assert cache.get_or_capture("key", fail) == (plan, True)
+        assert cache.stats() == {"hits": 1, "misses": 2, "size": 1}
 
 
 class TestPlanBypass:

@@ -5,9 +5,16 @@ import io
 import numpy as np
 import pytest
 
-from repro.core import BASE, OPTIMIZED, GPUPipeline, StreamProcessor
+from repro.core import (
+    BASE,
+    OPTIMIZED,
+    GPUPipeline,
+    StreamProcessor,
+    overlap_stream,
+)
 from repro.errors import ValidationError
 from repro.obs import RunContext
+from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
 from repro.types import Image
 from repro.util import images
 
@@ -73,13 +80,19 @@ class TestStreamObservability:
         assert "repro_stream_fps" in text
         assert "stream.complete" in stream.getvalue()
 
-    def test_pipeline_override_is_used(self, frames):
-        pipe = GPUPipeline(OPTIMIZED)
-        stream = StreamProcessor(OPTIMIZED, pipeline=pipe)
-        assert stream.pipeline is pipe
-        result = stream.run(frames)
-        assert result.n_frames == len(frames)
-        assert pipe.plan_cache.stats()["hits"] >= len(frames) - 1
+    def test_frames_nest_under_stream_span(self, frames):
+        obs = RunContext.create("stream-test", log_level="error",
+                                log_stream=io.StringIO())
+        StreamProcessor(OPTIMIZED, obs=obs).run(frames)
+        (root,) = [s for s in obs.trace.spans if s.name == "stream.run"]
+        runs = [s for s in obs.trace.spans if s.name == "gpu.run"]
+        assert len(runs) == len(frames)
+        for span in runs:
+            ancestors = []
+            while span.parent is not None:
+                span = span.parent
+                ancestors.append(span)
+            assert root in ancestors
 
 
 class TestOverlapModel:
@@ -89,12 +102,39 @@ class TestOverlapModel:
                                   overlap_transfers=True).run(frames)
         assert overlap.total_time <= serial.total_time
 
-    def test_overlap_hides_the_smaller_side(self, frames):
-        overlap = StreamProcessor(OPTIMIZED,
-                                  overlap_transfers=True).run(frames)
-        for f in overlap.frames:
-            assert f.overlapped_time == pytest.approx(
-                max(f.transfer_time, f.device_time) + f.host_time)
+    def test_failed_frames_left_out_of_schedule(self, frames):
+        plan = FaultPlan.parse(
+            "worker:rate=1.0,kind=permanent,after=1,max=1;seed=0")
+        obs = RunContext.create(log_level="error", log_stream=io.StringIO(),
+                                faults=plan)
+        cfg = ResilienceConfig(retry=RetryPolicy(max_attempts=1),
+                               fallback=False, isolate=True)
+        stream = StreamProcessor(OPTIMIZED, overlap_transfers=True, obs=obs,
+                                 resilience=cfg).run(frames)
+        assert [f.ok for f in stream.frames] == [True, False, True, True]
+        served = [f.timeline for f in stream.frames if f.ok]
+        assert stream.total_time == overlap_stream(served).total
+        # Throughput is per served frame: the failed slot adds no time.
+        assert stream.n_served == 3
+        assert stream.fps == pytest.approx(3 / stream.total_time)
+
+    def test_stream_with_no_served_frame(self, frames):
+        plan = FaultPlan.parse("worker:rate=1.0,kind=permanent;seed=0")
+        log = io.StringIO()
+        obs = RunContext.create(log_level="info", log_stream=log,
+                                faults=plan)
+        cfg = ResilienceConfig(retry=RetryPolicy(max_attempts=1),
+                               fallback=False, isolate=True)
+        stream = StreamProcessor(OPTIMIZED, overlap_transfers=True, obs=obs,
+                                 resilience=cfg).run(frames)
+        assert stream.n_frames == 4 and stream.n_served == 0
+        assert stream.pipelined_timeline is None
+        with pytest.raises(ValidationError, match="served no frames"):
+            stream.fps
+        with pytest.raises(ValidationError, match="served no frames"):
+            stream.sustains(1.0)
+        assert "repro_stream_fps" not in obs.metrics.to_prometheus_text()
+        assert "served=0" in log.getvalue()
 
     def test_overlap_gain_bounded_by_transfer_share(self, frames):
         serial = StreamProcessor(OPTIMIZED).run(frames)

@@ -1,6 +1,8 @@
 """Tracer: span nesting/ordering, Chrome export, Timeline merging."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -75,6 +77,71 @@ class TestSpans:
             _ = handle.span.duration
         with handle:
             pass
+
+    def test_closing_out_of_order_raises(self):
+        tr = make_tracer()
+        outer = tr.span("outer")
+        tr.span("inner")
+        with pytest.raises(ValidationError, match="out of order"):
+            outer.__exit__(None, None, None)
+
+
+class TestThreads:
+    def test_concurrent_threads_nest_on_their_own_stacks(self):
+        tags = ("a", "b", "c", "d")  # more threads than a small host's cores
+        tr = Tracer()
+        start = threading.Barrier(len(tags))
+        errors = []
+
+        def work(tag):
+            try:
+                start.wait(timeout=10)
+                for _ in range(50):
+                    with tr.span(f"{tag}.outer"):
+                        with tr.span(f"{tag}.inner"):
+                            pass
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(tag,), name=tag)
+                   for tag in tags]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # A lost append under contention would drop a span.
+        assert len(tr.spans) == len(tags) * 2 * 50
+        for span in tr.spans:
+            if span.name.endswith(".inner"):
+                assert span.parent.name == span.name.replace("inner",
+                                                             "outer")
+                assert span.parent.tid == span.tid
+            else:
+                assert span.parent is None
+        events = tr.chrome_trace()["traceEvents"]
+        rows = {e["tid"]: e["args"]["name"] for e in events
+                if e["name"] == "thread_name" and e["pid"] == 1}
+        assert sorted(rows.values()) == list(tags)
+        host_tids = {e["tid"] for e in events
+                     if e["ph"] == "X" and e["pid"] == 1}
+        assert host_tids == set(rows) == set(range(1, len(tags) + 1))
+        for e in events:
+            if e["ph"] == "X" and e["pid"] == 1:
+                assert rows[e["tid"]] == e["name"].split(".")[0]
+
+    def test_first_thread_keeps_tid_1(self):
+        tr = make_tracer()
+        with tr.span("s"):
+            pass
+        span = tr.chrome_trace()["traceEvents"][-1]
+        assert span["name"] == "s" and span["tid"] == 1
 
 
 class TestChromeExport:

@@ -3,19 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.simgpu.profiling import Timeline
-from repro.simgpu.schedule import (
-    KIND_TO_RESOURCE,
-    ResourceScheduler,
-    pipelined_schedule,
-)
-
-
-def _tl(*events):
-    tl = Timeline()
-    for name, kind, dur in events:
-        tl.record(name, kind, dur)
-    return tl
+from repro.simgpu.schedule import KIND_TO_RESOURCE, ResourceScheduler
 
 
 class TestResourceScheduler:
@@ -108,41 +96,13 @@ class TestResourceScheduler:
 
 
 class TestPipelinedSchedule:
+    """The event-kind -> engine map that stream schedules run on.
+
+    The schedules themselves are tested with ``core.dag.overlap_stream``
+    in ``test_core_dag.py``; the class keeps its old name so the test's
+    id stays stable.
+    """
+
     def test_every_kind_mapped(self):
         for kind in ("transfer", "kernel", "host", "sync"):
             assert KIND_TO_RESOURCE[kind] in ("dma", "compute", "host")
-
-    def test_single_timeline_keeps_serial_order(self):
-        tl = _tl(("a", "transfer", 5.0), ("b", "kernel", 5.0),
-                 ("c", "transfer", 5.0))
-        out = pipelined_schedule([tl])
-        assert out.total == 15.0  # intra-frame chain is preserved
-
-    def test_two_frames_overlap(self):
-        frame = [("up", "transfer", 10.0), ("k", "kernel", 10.0),
-                 ("down", "transfer", 2.0)]
-        out = pipelined_schedule([_tl(*frame), _tl(*frame)])
-        serial = 2 * 22.0
-        assert out.total < serial
-        # Lower bound: the busiest engine.
-        assert out.total >= 24.0  # dma busy = 24
-
-    def test_makespan_at_least_bottleneck(self):
-        frame = [("up", "transfer", 7.0), ("k", "kernel", 3.0)]
-        out = pipelined_schedule([_tl(*frame)] * 5)
-        assert out.total >= 5 * 7.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            pipelined_schedule([])
-
-    def test_events_preserve_durations(self):
-        frame = [("up", "transfer", 10.0), ("k", "kernel", 5.0)]
-        out = pipelined_schedule([_tl(*frame)] * 3)
-        assert sum(e.duration for e in out.events) == 3 * 15.0
-
-    def test_gantt_renders_overlap(self):
-        frame = [("up", "transfer", 10.0), ("k", "kernel", 10.0)]
-        out = pipelined_schedule([_tl(*frame)] * 2)
-        chart = out.ascii_gantt(20)
-        assert "f1:up" in chart
