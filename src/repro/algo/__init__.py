@@ -1,9 +1,10 @@
 """Canonical, vectorized definitions of every sharpness stage.
 
 This package is the single source of truth for the algorithm's *semantics*.
-The CPU baseline (:mod:`repro.cpu`) and the functional path of every
-simulated-GPU kernel (:mod:`repro.kernels`) delegate to these functions, so
-that any two pipeline configurations produce bit-identical images; the scalar
+The CPU baseline (:mod:`repro.cpu`), the functional path of every
+simulated-GPU kernel (:mod:`repro.kernels`) and the plan executor
+(:mod:`repro.core.plan`) delegate to these functions, so that any two
+pipeline configurations produce bit-identical images; the scalar
 golden reference in :mod:`repro.cpu.naive` is an independent implementation
 used to cross-check them.
 """

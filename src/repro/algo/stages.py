@@ -4,8 +4,13 @@ The geometry and interpretation decisions are documented in DESIGN.md
 section 3; the docstrings below restate the exact contracts that all other
 implementations (scalar golden reference, simulated-GPU kernels) must honour.
 
-All functions take and return ``float64`` arrays; none of them mutates its
-inputs.
+These are the pipeline's only vectorized numerics: the CPU pipeline and
+the kernels' functional faces call the whole-frame functions, the plan
+executor (:mod:`repro.core.plan`) calls the row-range forms strip by
+strip.  A whole-frame function is its row-range form over every row, so
+strip boundaries cannot change a bit.  Whole-frame functions validate
+their inputs and never mutate them; ``out=`` must have the result's shape,
+and scratch arrays are used up to the size needed.
 """
 
 from __future__ import annotations
@@ -67,21 +72,42 @@ def _check_plane(src: np.ndarray, name: str = "src") -> np.ndarray:
     return arr
 
 
+def _scratch(buf: np.ndarray | None, shape: tuple[int, ...],
+             dtype=FLOAT) -> np.ndarray:
+    """The leading ``shape`` part of scratch ``buf``, or a new array."""
+    if buf is None:
+        return np.empty(shape, dtype=dtype)
+    return buf[tuple(map(slice, shape))]
+
+
 # ---------------------------------------------------------------------------
 # Stage 1: downscale
 # ---------------------------------------------------------------------------
 
 
-def downscale(src: np.ndarray) -> np.ndarray:
+def downscale(src: np.ndarray, out: np.ndarray | None = None, *,
+              colsum: np.ndarray | None = None) -> np.ndarray:
     """Mean-pool the plane with non-overlapping 4x4 blocks (Fig. 2).
 
     ``out[i, j] = mean(src[4i:4i+4, 4j:4j+4])``; output shape is
-    ``(H/4, W/4)``.
+    ``(H/4, W/4)``.  Sums run in order, ``((a0+a1)+a2)+a3``, along each row
+    into ``colsum`` (``(H, W/4)`` scratch), then down the columns: explicit
+    slice adds, three times faster than a strided multi-axis reduce.
     """
     arr = _check_plane(src)
     h, w = arr.shape
-    blocks = arr.reshape(h // SCALE, SCALE, w // SCALE, SCALE)
-    return blocks.sum(axis=(1, 3)) / FLOAT(SCALE * SCALE)
+    out = _scratch(out, (h // SCALE, w // SCALE))
+    cols = arr.reshape(h, w // SCALE, SCALE)
+    s1 = _scratch(colsum, (h, w // SCALE))
+    np.add(cols[:, :, 0], cols[:, :, 1], out=s1)
+    for k in range(2, SCALE):
+        np.add(s1, cols[:, :, k], out=s1)
+    rows = s1.reshape(h // SCALE, SCALE, w // SCALE)
+    np.add(rows[:, 0], rows[:, 1], out=out)
+    for k in range(2, SCALE):
+        np.add(out, rows[:, k], out=out)
+    np.divide(out, FLOAT(SCALE * SCALE), out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +142,63 @@ def upscale_border_line(line: np.ndarray, out_len: int) -> np.ndarray:
     return out
 
 
-def _interp_body_axis0(d: np.ndarray) -> np.ndarray:
-    """Interpolate along axis 0: (n, m) -> (4*(n-1), m) using UPSCALE_P."""
-    n, m = d.shape
-    a = d[:-1]
-    b = d[1:]
-    out = np.empty((SCALE * (n - 1), m), dtype=FLOAT)
+def upscale_body_rows(down: np.ndarray, up: np.ndarray, r0: int, r1: int,
+                      *, rows: np.ndarray | None = None,
+                      taps: np.ndarray | None = None) -> None:
+    """Write the body (``up[2:H-2, 2:W-2]``) of rows ``[r0, r1)`` of ``up``.
+
+    Body row ``b`` blends ``down[b // 4]`` and ``down[b // 4 + 1]`` with
+    the weights of phase ``b % 4`` into ``rows`` (``(n, W/4)`` scratch);
+    then ``[b, 4q + k]`` is ``wl * rows[b, q] + wr * rows[b, q + 1]``
+    (``taps``: ``(2, n, W/4 - 1)`` scratch).
+    """
+    h, w = up.shape
+    y0, y1 = max(r0, 2), min(r1, h - 2)
+    if y1 <= y0:
+        return
+    n = y1 - y0
+    b0, b1 = y0 - 2, y1 - 2
+    rows = _scratch(rows, (n, down.shape[1]))
+    for k in range(SCALE):
+        bk = b0 + (k - b0) % SCALE  # first body row of phase k
+        if bk >= b1:
+            continue
+        i0, c = bk // SCALE, (b1 - bk + SCALE - 1) // SCALE
+        wl, wr = UPSCALE_P[k]
+        np.add(wl * down[i0:i0 + c], wr * down[i0 + 1:i0 + 1 + c],
+               out=rows[bk - b0::SCALE])
+    body = up[y0:y1, 2:w - 2]
+    ra, rb = rows[:, :-1], rows[:, 1:]
+    ta, tb = _scratch(taps, (2, n, down.shape[1] - 1))
     for k in range(SCALE):
         wl, wr = UPSCALE_P[k]
-        out[k::SCALE] = wl * a + wr * b
-    return out
+        np.multiply(ra, wl, out=ta)
+        np.multiply(rb, wr, out=tb)
+        np.add(ta, tb, out=body[:, k::SCALE])
 
 
-def upscale_body(down: np.ndarray) -> np.ndarray:
+def upscale_body(down: np.ndarray,
+                 up: np.ndarray | None = None) -> np.ndarray:
     """Upscale the body region (Fig. 4/5).
 
     Every 2x2 block of ``down`` (stride 1) produces the 4x4 block
     ``P @ D2x2 @ P.T`` of the output (stride 4).  The returned array has
-    shape ``(H - 4, W - 4)`` and belongs at ``up[2:H-2, 2:W-2]``.
+    shape ``(H - 4, W - 4)`` and belongs at ``up[2:H-2, 2:W-2]`` — it is
+    that view of ``up`` when the ``(H, W)`` plane is given.
 
-    The computation is separable: interpolate rows first, then columns,
-    which is algebraically identical to the ``P @ D @ P.T`` form.
+    The computation is separable (:func:`upscale_body_rows`), which is
+    algebraically identical to the ``P @ D @ P.T`` form.
     """
     d = np.asarray(down, dtype=FLOAT)
     if d.ndim != 2 or d.shape[0] < 2 or d.shape[1] < 2:
         raise ValidationError(
             f"downscaled matrix must be 2-D with sides >= 2, got {d.shape}"
         )
-    rows = _interp_body_axis0(d)
-    return _interp_body_axis0(rows.T).T
+    h, w = SCALE * d.shape[0], SCALE * d.shape[1]
+    if up is None:
+        up = np.empty((h, w), dtype=FLOAT)
+    upscale_body_rows(d, up, 0, h)
+    return up[2:h - 2, 2:w - 2]
 
 
 def upscale_border_apply(up: np.ndarray, down: np.ndarray) -> None:
@@ -192,12 +246,9 @@ def upscale_border_apply(up: np.ndarray, down: np.ndarray) -> None:
 
 def upscale(down: np.ndarray) -> np.ndarray:
     """Full upscale: body (``up[2:H-2, 2:W-2]``) plus the Fig. 3 border."""
-    d = np.asarray(down, dtype=FLOAT)
-    nr, nc = d.shape
-    h, w = SCALE * nr, SCALE * nc
-    up = np.empty((h, w), dtype=FLOAT)
-    up[2 : h - 2, 2 : w - 2] = upscale_body(d)
-    upscale_border_apply(up, d)
+    up = np.empty([SCALE * n for n in np.shape(down)], dtype=FLOAT)
+    upscale_body(down, up)
+    upscale_border_apply(up, down)
     return up
 
 
@@ -206,7 +257,8 @@ def upscale(down: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def perror(src: np.ndarray, upscaled: np.ndarray) -> np.ndarray:
+def perror(src: np.ndarray, upscaled: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Difference matrix ``pError = original - upscaled``."""
     a = np.asarray(src, dtype=FLOAT)
     b = np.asarray(upscaled, dtype=FLOAT)
@@ -214,7 +266,7 @@ def perror(src: np.ndarray, upscaled: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"shape mismatch: original {a.shape} vs upscaled {b.shape}"
         )
-    return a - b
+    return np.subtract(a, b, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +274,44 @@ def perror(src: np.ndarray, upscaled: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def sobel_rows(src: np.ndarray, edge: np.ndarray, r0: int, r1: int, *,
+               tcol: np.ndarray | None = None,
+               urow: np.ndarray | None = None,
+               gx: np.ndarray | None = None,
+               gy: np.ndarray | None = None) -> None:
+    """Sobel magnitude of interior rows ``[r0, r1)`` (``1 <= r0 < r1 <=
+    H - 1``) into ``edge[r0:r1, 1:W-1]``.
+
+    Separable, in the association order of the 3x3 masks:
+    ``gx = (ne + 2*e + se) - (nw + 2*w + sw)`` from column sums (``tcol``:
+    ``(n, W)`` scratch), ``gy = (sw + 2*s + se) - (nw + 2*n + ne)`` from
+    row sums (``urow``: ``(n + 2, W - 2)``; ``gx``, ``gy``: ``(n, W - 2)``).
+    """
+    w = src.shape[1]
+    n = r1 - r0
+    tc = _scratch(tcol, (n, w))
+    np.multiply(src[r0:r1], 2.0, out=tc)
+    np.add(src[r0 - 1:r1 - 1], tc, out=tc)
+    np.add(tc, src[r0 + 1:r1 + 1], out=tc)
+    dx = np.subtract(tc[:, 2:], tc[:, :-2], out=_scratch(gx, (n, w - 2)))
+    halo = src[r0 - 1:r1 + 1]
+    ur = _scratch(urow, (n + 2, w - 2))
+    np.multiply(halo[:, 1:w - 1], 2.0, out=ur)
+    np.add(halo[:, 0:w - 2], ur, out=ur)
+    np.add(ur, halo[:, 2:w], out=ur)
+    dy = np.subtract(ur[2:], ur[:-2], out=_scratch(gy, (n, w - 2)))
+    np.abs(dx, out=dx)
+    np.abs(dy, out=dy)
+    np.add(dx, dy, out=edge[r0:r1, 1:w - 1])
+
+
 def sobel(src: np.ndarray) -> np.ndarray:
     """Sobel edge magnitude ``|Gx| + |Gy|`` with a zero border (Fig. 6/7)."""
     arr = _check_plane(src)
     h, w = arr.shape
     out = np.zeros((h, w), dtype=FLOAT)
-    # 3x3 neighbourhood views over the body region.
-    c = arr[1 : h - 1, 1 : w - 1]  # noqa: F841  (kept for symmetry/clarity)
-    nw = arr[0 : h - 2, 0 : w - 2]
-    n = arr[0 : h - 2, 1 : w - 1]
-    ne = arr[0 : h - 2, 2:w]
-    wv = arr[1 : h - 1, 0 : w - 2]
-    ev = arr[1 : h - 1, 2:w]
-    sw = arr[2:h, 0 : w - 2]
-    s = arr[2:h, 1 : w - 1]
-    se = arr[2:h, 2:w]
-    gx = (ne + 2.0 * ev + se) - (nw + 2.0 * wv + sw)
-    gy = (sw + 2.0 * s + se) - (nw + 2.0 * n + ne)
-    out[1 : h - 1, 1 : w - 1] = np.abs(gx) + np.abs(gy)
+    if arr.size:
+        sobel_rows(arr, out, 1, h - 1)
     return out
 
 
@@ -266,26 +338,48 @@ def reduce_mean(values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: ``x ** 0.5`` and ``sqrt(x)`` agree bitwise on IEEE-754 platforms numpy
+#: targets; probe once so :func:`strength_map` only takes the sqrt
+#: shortcut when the platform actually honours the identity.
+_POW_PROBE = np.concatenate([
+    np.array([0.0, 1.0, 2.0, 0.5, 255.0, 1e-300, 1e300], dtype=FLOAT),
+    np.geomspace(1e-12, 1e12, 97, dtype=FLOAT),
+])
+POW_HALF_IS_SQRT = bool(
+    np.array_equal(np.power(_POW_PROBE, FLOAT(0.5)), np.sqrt(_POW_PROBE))
+)
+
+
 def strength_map(
-    p_edge: np.ndarray, edge_mean: float, params: SharpnessParams
+    p_edge: np.ndarray, edge_mean: float, params: SharpnessParams,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-pixel brightness-strength factor (DESIGN.md section 3).
 
     ``strength = clamp(gain * (pEdge / mean)**gamma, 0, strength_max)``.
     A non-positive mean (flat image) yields an all-zero map: no edges, no
     sharpening.  This is the exponentiation-heavy step the paper calls the
-    "calculation of the strength matrix".
+    "calculation of the strength matrix".  The default ``gamma == 0.5``
+    takes ``sqrt`` where :data:`POW_HALF_IS_SQRT` holds.
     """
     edge = np.asarray(p_edge, dtype=FLOAT)
+    if out is None:
+        out = np.empty(edge.shape, dtype=FLOAT)
     if edge_mean <= 0.0:
-        return np.zeros_like(edge)
-    norm = edge / FLOAT(edge_mean)
-    return np.clip(params.gain * norm**FLOAT(params.gamma), 0.0,
-                   params.strength_max)
+        out[...] = 0.0
+        return out
+    np.divide(edge, FLOAT(edge_mean), out=out)
+    if params.gamma == 0.5 and POW_HALF_IS_SQRT:
+        np.sqrt(out, out=out)
+    else:
+        np.power(out, FLOAT(params.gamma), out=out)
+    np.multiply(out, FLOAT(params.gain), out=out)
+    return np.clip(out, 0.0, params.strength_max, out=out)
 
 
 def preliminary_sharpen(
-    upscaled: np.ndarray, p_error: np.ndarray, strength: np.ndarray
+    upscaled: np.ndarray, p_error: np.ndarray, strength: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Preliminary sharpened matrix: ``upscaled + strength * pError``."""
     u = np.asarray(upscaled, dtype=FLOAT)
@@ -296,7 +390,8 @@ def preliminary_sharpen(
             f"shape mismatch: upscaled {u.shape}, pError {e.shape}, "
             f"strength {s.shape}"
         )
-    return u + s * e
+    out = np.multiply(s, e, out=out)
+    return np.add(u, out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +399,73 @@ def preliminary_sharpen(
 # ---------------------------------------------------------------------------
 
 
-def _neighborhood_minmax(src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 min and max over the body region (shape ``(H-2, W-2)`` each)."""
+def minmax3x3(src: np.ndarray, r0: int = 1, r1: int | None = None, *,
+              mn: np.ndarray | None = None, mx: np.ndarray | None = None,
+              mnc: np.ndarray | None = None,
+              mxc: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 min and max around interior rows ``[r0, r1)`` (default: the
+    whole body), interior columns: two ``(r1 - r0, W - 2)`` arrays.
+
+    Separable: the min/max of three columns for rows ``r0 - 1`` to ``r1``
+    (scratch ``mnc``/``mxc``, ``(n + 2, W - 2)``), then of three rows.
+    """
     h, w = src.shape
-    views = [
-        src[di : h - 2 + di, dj : w - 2 + dj]
-        for di in range(3)
-        for dj in range(3)
-    ]
-    mn = views[0].copy()
-    mx = views[0].copy()
-    for v in views[1:]:
-        np.minimum(mn, v, out=mn)
-        np.maximum(mx, v, out=mx)
-    return mn, mx
+    if r1 is None:
+        r1 = h - 1
+    n = r1 - r0
+    halo = src[r0 - 1:r1 + 1]
+    cols = (halo[:, 0:w - 2], halo[:, 1:w - 1], halo[:, 2:w])
+    lo, hi = _scratch(mn, (n, w - 2)), _scratch(mx, (n, w - 2))
+    for op, across, res in ((np.minimum, mnc, lo), (np.maximum, mxc, hi)):
+        t = op(cols[0], cols[1], out=_scratch(across, (n + 2, w - 2)))
+        op(t, cols[2], out=t)
+        op(t[0:n], t[1:n + 1], out=res)
+        op(res, t[2:n + 2], out=res)
+    return lo, hi
+
+
+def clip_border(src: np.ndarray, final: np.ndarray) -> None:
+    """Clip the one-pixel border ring of ``src`` to [0, 255] into
+    ``final``: overshoot control leaves the border unblended."""
+    h, w = src.shape
+    for line in (np.s_[0], np.s_[h - 1], np.s_[:, 0], np.s_[:, w - 1]):
+        np.clip(src[line], 0.0, 255.0, out=final[line])
+
+
+def overshoot_rows(prelim: np.ndarray, mn: np.ndarray, mx: np.ndarray,
+                   overshoot: float, final: np.ndarray, r0: int, *,
+                   over: np.ndarray | None = None,
+                   under: np.ndarray | None = None) -> None:
+    """Overshoot control of interior rows ``[r0, r0 + n)`` into
+    ``final[r0:r0+n, 1:W-1]`` of the C-contiguous ``(H, W)`` plane.
+
+    ``prelim``, ``mn`` and ``mx`` are the rows' ``(n, W - 2)`` preliminary
+    values and 3x3 extrema (:func:`minmax3x3`); ``over``/``under`` are
+    boolean scratch.  Pixels are clipped to [0, 255], then the
+    overshooting ones (typically 10-20%) are blended back through flat
+    indices, which touch only them (a boolean mask walks every pixel).
+    """
+    n, wi = prelim.shape
+    w = final.shape[1]
+    if not final.flags.c_contiguous:
+        raise ValidationError("final must be C-contiguous")
+    np.clip(prelim, 0.0, 255.0, out=final[r0:r0 + n, 1:w - 1])
+    osc = FLOAT(overshoot)
+    hi = np.greater(prelim, mx, out=_scratch(over, (n, wi), bool))
+    lo = np.less(prelim, mn, out=_scratch(under, (n, wi), bool))
+    final_flat = final.reshape(-1)
+    for is_over, mask, bound in ((True, hi, mx), (False, lo, mn)):
+        idx = np.flatnonzero(mask)
+        if idx.size == 0:
+            continue
+        bv, lv = np.take(prelim, idx), np.take(bound, idx)
+        if is_over:
+            vals = np.minimum(lv + osc * (bv - lv), 255.0)
+        else:
+            vals = np.maximum(lv - osc * (lv - bv), 0.0)
+        # row-range index (r, c) -> final index (r0 + r, c + 1)
+        final_flat[idx + 2 * (idx // wi) + r0 * w + 1] = vals
 
 
 def overshoot_control(
@@ -338,19 +486,12 @@ def overshoot_control(
             f"shape mismatch: preliminary {p.shape} vs original {o.shape}"
         )
     h, w = p.shape
-    osc = FLOAT(params.overshoot)
-    final = np.clip(p, 0.0, 255.0)
-
-    mn, mx = _neighborhood_minmax(o)
-    body = p[1 : h - 1, 1 : w - 1]
-    over = body > mx
-    under = body < mn
-    osc_max = np.minimum(mx + osc * (body - mx), 255.0)
-    osc_min = np.maximum(mn - osc * (mn - body), 0.0)
-    result = np.clip(body, 0.0, 255.0)
-    result = np.where(over, osc_max, result)
-    result = np.where(under, osc_min, result)
-    final[1 : h - 1, 1 : w - 1] = result
+    final = np.empty((h, w), dtype=FLOAT)
+    if p.size:
+        clip_border(p, final)
+        mn, mx = minmax3x3(o)
+        body = np.ascontiguousarray(p[1:h - 1, 1:w - 1])
+        overshoot_rows(body, mn, mx, params.overshoot, final, 1)
     return final
 
 

@@ -61,14 +61,26 @@ def _classify(event: Event) -> str:
 
 def _add_run(sched: ResourceScheduler, timeline: Timeline,
              prefix: str = "") -> None:
-    """Register one run's events on ``sched`` with stage-DAG dependencies."""
+    """Register one run's events on ``sched`` with stage-DAG dependencies.
+
+    A host-only timeline (a ``cpu-fallback`` frame) has no device stages
+    to overlap: it is scheduled as a serial chain on the host, in
+    recorded order.
+    """
     if not timeline.events:
         raise ValidationError("empty timeline")
+    if all(event.kind == "host" for event in timeline.events):
+        deps: tuple[int, ...] = ()
+        for event in timeline.events:
+            deps = (sched.add(prefix + event.name, event.kind,
+                              event.duration, "host", deps,
+                              stage=event.stage),)
+        return
     last_op_of_stage: dict[str, int] = {}
     for event in timeline.events:
         stage = _classify(event)
         if stage in last_op_of_stage:
-            deps: tuple[int, ...] = (last_op_of_stage[stage],)
+            deps = (last_op_of_stage[stage],)
         else:
             prereqs = STAGE_DEPS.get(stage)
             if prereqs is None:

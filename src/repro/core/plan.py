@@ -16,33 +16,31 @@ frame:
 * the *timeline* and per-stage times are shared as an immutable template —
   simulated costs are content-independent, so frame N's timeline is
   bit-identical to frame 1's;
-* the *pixels* are produced by a specialized executor that writes into
-  pooled scratch (see :mod:`repro.core.bufferpool`) with no per-frame
-  allocations beyond the output plane itself.  The executor follows the
-  same canonical operation order as :mod:`repro.algo.stages` (same
-  association order in every sum, same reduction level chain), so cached
-  and uncached runs produce **bit-identical** images and edge means — the
-  test suite asserts ``np.array_equal``.
+* the *pixels* are produced by a cache-blocked executor that calls the
+  :mod:`repro.algo.stages` functions — the same ones the generic kernel
+  path and the CPU pipeline run — strip by strip into pooled scratch
+  (see :mod:`repro.core.bufferpool`), with no per-frame allocations
+  beyond the output plane itself.  The executor is only a schedule: it
+  owns the workspace, the strip lanes and the device reduction's level
+  chain, which reproduces the GPU kernel's summation order.  Cached and
+  uncached runs therefore produce **bit-identical** images and edge
+  means by construction.
 
-The executor is cache-blocked.  Only the downscale (whose output is 1/16
-of the frame) and the pEdge reduction run over the whole frame; the rest
-runs on row strips of the ``h - 2`` interior rows, sized by
+Only the downscale (whose output is 1/16 of the frame) and the pEdge
+reduction run over the whole frame; the rest runs on row strips of the
+``h - 2`` interior rows, sized by
 :data:`~repro.core.bufferpool.STRIP_BYTES` so one strip's scratch stays
 in cache:
 
 1. downscale the whole frame;
-2. **pass 1**, per strip: upscale-body rows into ``up``, then separable
-   Sobel with a one-row halo into ``pEdge``; then the upscale border
-   lines (O(h + w));
+2. **pass 1**, per strip: upscale-body rows into ``up``, then Sobel rows
+   into ``pEdge``; then the upscale border lines (O(h + w));
 3. the pEdge mean over the whole ``pEdge`` with the plan's exact
    reduction level chain — the pipeline's only global barrier, hence two
    passes;
-4. **pass 2**, per strip: pError, strength, preliminary, separable 3x3
-   min/max with a one-row halo, the sparse overshoot blend and the clip
-   into the output; then the output's border lines from ``up``.
-
-Every output element is computed by the same expression as in the
-whole-frame stages, so strip boundaries cannot change a bit.
+4. **pass 2**, per strip: pError, strength, preliminary, 3x3 min/max and
+   the overshoot blend into the output; then the output's border lines
+   from ``up``.
 
 Strips of one frame run on :data:`STRIP_LANES`, a process-wide pool of
 lanes: each lane owns one :class:`~repro.core.bufferpool.StripScratch`
@@ -80,18 +78,6 @@ from ..types import FLOAT, SharpnessParams, StageTimes
 from . import heuristics
 from .bufferpool import StripScratch, Workspace
 from .config import OptimizationFlags
-
-#: ``x ** 0.5`` and ``sqrt(x)`` agree bitwise on IEEE-754 platforms numpy
-#: targets; probe once so the fast executor only takes the sqrt shortcut
-#: when the platform actually honours the identity.
-_POW_PROBE = np.concatenate([
-    np.array([0.0, 1.0, 2.0, 0.5, 255.0, 1e-300, 1e300], dtype=FLOAT),
-    np.geomspace(1e-12, 1e12, 97, dtype=FLOAT),
-])
-POW_HALF_IS_SQRT = bool(
-    np.array_equal(np.power(_POW_PROBE, FLOAT(0.5)), np.sqrt(_POW_PROBE))
-)
-
 
 @dataclass(frozen=True)
 class PlanKey:
@@ -260,115 +246,28 @@ def _upscale_sobel_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
                          s: StripScratch) -> None:
     """Pass 1 on interior rows ``[r0, r1)``: upscale-body rows of ``up``
     and Sobel rows of ``pEdge``."""
-    h, w = ws.h, ws.w
-    down = ws.down
-    # ---- upscale body (separable, same order as _interp_body_axis0) -----
-    # Body row b = y - 2 (y in [2, h-2)) blends down[b // 4] and
-    # down[b // 4 + 1] with the weights of phase b % 4.
-    y0, y1 = max(r0, 2), min(r1, h - 2)
-    if y1 > y0:
-        n = y1 - y0
-        b0, b1 = y0 - 2, y1 - 2
-        rows = s.rows[:n]
-        for k in range(4):
-            bk = b0 + (k - b0) % 4  # first body row of phase k
-            if bk >= b1:
-                continue
-            i0, c = bk // 4, (b1 - bk + 3) // 4
-            wl, wr = algo.UPSCALE_P[k]
-            np.add(wl * down[i0:i0 + c], wr * down[i0 + 1:i0 + 1 + c],
-                   out=rows[bk - b0::4])
-        # Column pass straight into the body view: element [i, 4q+k] is
-        # wl*rows[i, q] + wr*rows[i, q+1], the scalar expression of the
-        # transpose formulation.
-        body = ws.up[y0:y1, 2:w - 2]
-        ra, rb = rows[:, :-1], rows[:, 1:]
-        ta, tb = s.taps[0, :n], s.taps[1, :n]
-        for k in range(4):
-            wl, wr = algo.UPSCALE_P[k]
-            np.multiply(ra, wl, out=ta)
-            np.multiply(rb, wr, out=tb)
-            np.add(ta, tb, out=body[:, k::4])
-
-    # ---- Sobel (separable; association order matches algo.sobel) --------
-    n = r1 - r0
-    tcol = s.tcol[:n]
-    np.multiply(plane[r0:r1], 2.0, out=tcol)
-    np.add(plane[r0 - 1:r1 - 1], tcol, out=tcol)
-    np.add(tcol, plane[r0 + 1:r1 + 1], out=tcol)
-    gx = np.subtract(tcol[:, 2:], tcol[:, :-2], out=s.gx[:n])
-    halo = plane[r0 - 1:r1 + 1]
-    urow = s.urow[:n + 2]
-    np.multiply(halo[:, 1:w - 1], 2.0, out=urow)
-    np.add(halo[:, 0:w - 2], urow, out=urow)
-    np.add(urow, halo[:, 2:w], out=urow)
-    gy = np.subtract(urow[2:], urow[:-2], out=s.gy[:n])
-    np.abs(gx, out=gx)
-    np.abs(gy, out=gy)
-    np.add(gx, gy, out=ws.edge[r0:r1, 1:w - 1])
+    algo.upscale_body_rows(ws.down, ws.up, r0, r1, rows=s.rows, taps=s.taps)
+    algo.sobel_rows(plane, ws.edge, r0, r1, tcol=s.tcol, urow=s.urow,
+                    gx=s.gx, gy=s.gy)
 
 
 def _sharpen_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
                    s: StripScratch, edge_mean: float,
                    params: SharpnessParams, final: np.ndarray) -> None:
     """Pass 2 on interior rows ``[r0, r1)``: the fused sharpness tail and
-    overshoot control into ``final[r0:r1, 1:w-1]``."""
+    overshoot control into ``final[r0:r1, 1:w-1]`` (interior columns: the
+    border is :func:`~repro.algo.stages.clip_border`'s)."""
     w = ws.w
     n = r1 - r0
-    # ---- fused sharpness tail (interior columns only) -------------------
-    pi = plane[r0:r1, 1:w - 1]
     ui = ws.up[r0:r1, 1:w - 1]
-    err = np.subtract(pi, ui, out=s.err[:n])
-    strength = s.strength[:n]
-    if edge_mean <= 0.0:
-        strength[...] = 0.0
-    else:
-        np.divide(ws.edge[r0:r1, 1:w - 1], FLOAT(edge_mean), out=strength)
-        if params.gamma == 0.5 and POW_HALF_IS_SQRT:
-            np.sqrt(strength, out=strength)
-        else:
-            np.power(strength, FLOAT(params.gamma), out=strength)
-        np.multiply(strength, FLOAT(params.gain), out=strength)
-        np.clip(strength, 0.0, params.strength_max, out=strength)
-    prelim = s.prelim[:n]
-    np.multiply(strength, err, out=prelim)
-    np.add(ui, prelim, out=prelim)
-
-    # ---- overshoot control (separable 3x3 min/max, sparse blend) --------
-    halo = plane[r0 - 1:r1 + 1]
-    mnc, mxc = s.mnc[:n + 2], s.mxc[:n + 2]
-    np.minimum(halo[:, 0:w - 2], halo[:, 1:w - 1], out=mnc)
-    np.minimum(mnc, halo[:, 2:w], out=mnc)
-    np.maximum(halo[:, 0:w - 2], halo[:, 1:w - 1], out=mxc)
-    np.maximum(mxc, halo[:, 2:w], out=mxc)
-    mn, mx = s.mn[:n], s.mx[:n]
-    np.minimum(mnc[0:n], mnc[1:n + 1], out=mn)
-    np.minimum(mn, mnc[2:n + 2], out=mn)
-    np.maximum(mxc[0:n], mxc[1:n + 1], out=mx)
-    np.maximum(mx, mxc[2:n + 2], out=mx)
-
-    np.clip(prelim, 0.0, 255.0, out=final[r0:r1, 1:w - 1])
-    # Sparse blend through flat integer indices: boolean fancy indexing
-    # walks the mask per element, flatnonzero + take/scatter only touches
-    # the (typically ~10-20%) overshooting pixels.
-    osc = FLOAT(params.overshoot)
-    over = np.greater(prelim, mx, out=s.over[:n])
-    under = np.less(prelim, mn, out=s.under[:n])
-    final_flat = final.ravel()
-    prelim_flat = prelim.ravel()
-    wi = w - 2
-    for mask, bound, ref in ((over, mx, True), (under, mn, False)):
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            continue
-        bv = np.take(prelim_flat, idx)
-        lv = np.take(bound.ravel(), idx)
-        if ref:
-            vals = np.minimum(lv + osc * (bv - lv), 255.0)
-        else:
-            vals = np.maximum(lv - osc * (lv - bv), 0.0)
-        # strip index (r, c) -> final index (r0 + r, c + 1), flattened
-        final_flat[idx + 2 * (idx // wi) + r0 * w + 1] = vals
+    err = algo.perror(plane[r0:r1, 1:w - 1], ui, out=s.err[:n])
+    strength = algo.strength_map(ws.edge[r0:r1, 1:w - 1], edge_mean,
+                                 params, out=s.strength[:n])
+    prelim = algo.preliminary_sharpen(ui, err, strength, out=s.prelim[:n])
+    mn, mx = algo.minmax3x3(plane, r0, r1, mn=s.mn, mx=s.mx, mnc=s.mnc,
+                            mxc=s.mxc)
+    algo.overshoot_rows(prelim, mn, mx, params.overshoot, final, r0,
+                        over=s.over, under=s.under)
 
 
 @dataclass
@@ -475,30 +374,14 @@ class ExecutionPlan:
 
         ``ws`` is a :class:`~repro.core.bufferpool.Workspace` of matching
         shape.  The frame runs in two strip passes around the reduction
-        (see the module docstring); every operation reproduces the
-        canonical stage functions' float association order, so the result
-        is bit-identical to the generic kernel path.
+        (see the module docstring); every pixel comes from a
+        :mod:`repro.algo.stages` function, so the result is bit-identical
+        to the generic kernel path.
         """
         h, w = self.key.height, self.key.width
         with STRIP_LANES.frame():
-            # ---- downscale: non-overlapping 4x4 block means -----------------
-            # Explicit slice adds in reduce order: np.add.reduce over a
-            # length-4 axis is sequential (((a0+a1)+a2)+a3), so this matches
-            # ``blocks.sum(axis=(1, 3))`` bit for bit at a third of the cost
-            # (the multi-axis strided reduce is iteration-bound).
-            down = ws.down
-            cols = plane.reshape(h, w // 4, 4)
-            s1 = ws.colsum
-            np.add(cols[:, :, 0], cols[:, :, 1], out=s1)
-            np.add(s1, cols[:, :, 2], out=s1)
-            np.add(s1, cols[:, :, 3], out=s1)
-            rows4 = s1.reshape(h // 4, 4, w // 4)
-            np.add(rows4[:, 0], rows4[:, 1], out=down)
-            np.add(down, rows4[:, 2], out=down)
-            np.add(down, rows4[:, 3], out=down)
-            np.divide(down, FLOAT(16.0), out=down)
+            down = algo.downscale(plane, out=ws.down, colsum=ws.colsum)
 
-            # ---- pass 1: upscale body + Sobel, strip by strip ---------------
             # Strip j covers interior rows [1 + j*S, 1 + (j+1)*S) ∩ [1, h-1).
             step = ws.strip
             n_strips = -(-(h - 2) // step)
@@ -515,29 +398,24 @@ class ExecutionPlan:
             up = ws.up
             algo.upscale_border_apply(up, down)
 
-            # ---- reduction: exact level chain of the capture -----------------
-            # The pEdge border ring is kept zero by Workspace.reset().
+            # The reduction runs the capture's exact level chain; the
+            # pEdge border ring is kept zero by Workspace.reset().
             edge = ws.edge
-            n = h * w
             if not self.reduction_levels:
-                edge_mean = float(edge.sum()) / n
+                edge_mean = algo.reduce_mean(edge)
             else:
                 flat = edge.ravel()
                 for count, n_groups in self.reduction_levels:
                     flat = _group_sums(flat, count, n_groups)
-                edge_mean = float(flat.sum()) / n
+                edge_mean = float(flat.sum()) / (h * w)
 
-            # ---- pass 2: sharpness tail + overshoot, strip by strip ----------
             final = np.empty((h, w), dtype=FLOAT)
             STRIP_LANES.run(ws, n_strips, lambda j, s: _sharpen_strip(
                 plane, ws, *bounds(j), s, edge_mean, params, final))
 
         # On the one-pixel border the edge map is zero, so the preliminary
         # image equals ``up`` there.
-        np.clip(up[0], 0.0, 255.0, out=final[0])
-        np.clip(up[h - 1], 0.0, 255.0, out=final[h - 1])
-        np.clip(up[:, 0], 0.0, 255.0, out=final[:, 0])
-        np.clip(up[:, w - 1], 0.0, 255.0, out=final[:, w - 1])
+        algo.clip_border(up, final)
         return final, edge_mean
 
 

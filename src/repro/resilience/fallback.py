@@ -15,8 +15,8 @@ fallback target.  :class:`FallbackPipeline` wraps a
    it heals);
 3. when the GPU path is down (breaker open, retries exhausted, or a
    permanent fault), the frame is served by
-   :class:`~repro.cpu.CPUPipeline` — the ``repro.cpu.optimized`` stage
-   implementations — and the result is flagged ``backend="cpu-fallback"``.
+   :class:`~repro.cpu.CPUPipeline` — the :mod:`repro.algo.stages`
+   functions — and the result is flagged ``backend="cpu-fallback"``.
 
 The wrapper returns the same :class:`~repro.core.pipeline.GPUResult` shape
 either way (fallback results carry a host-only timeline built from the CPU

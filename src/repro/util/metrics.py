@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..algo.stages import _neighborhood_minmax, sobel
+from ..algo.stages import minmax3x3, sobel
 from ..errors import ValidationError
 
 #: Dynamic range of the 8-bit pixel domain.
@@ -109,7 +109,7 @@ def overshoot_fraction(original: np.ndarray,
     ``overshoot=0`` the sharpened output has (numerically) none.
     """
     a, b = _pair(original, sharpened)
-    mn, mx = _neighborhood_minmax(a)
+    mn, mx = minmax3x3(a)
     body = b[1:-1, 1:-1]
     eps = 1e-9
     outside = (body > mx + eps) | (body < mn - eps)

@@ -136,6 +136,19 @@ class TestOverlapModel:
         assert "repro_stream_fps" not in obs.metrics.to_prometheus_text()
         assert "served=0" in log.getvalue()
 
+    def test_cpu_fallback_frames_are_scheduled_on_the_host(self, frames):
+        plan = FaultPlan.parse("kernel:rate=1.0,kind=permanent;seed=0")
+        obs = RunContext.create(log_level="error", log_stream=io.StringIO(),
+                                faults=plan)
+        cfg = ResilienceConfig(breaker_failures=1)
+        stream = StreamProcessor(OPTIMIZED, overlap_transfers=True, obs=obs,
+                                 resilience=cfg).run(frames[:3])
+        assert [f.backend for f in stream.frames] == ["cpu-fallback"] * 3
+        # Host-only timelines run back to back on the one host engine.
+        serial = sum(f.serial_time for f in stream.frames)
+        assert np.isfinite(stream.total_time)
+        assert stream.total_time == pytest.approx(serial, rel=1e-12)
+
     def test_overlap_gain_bounded_by_transfer_share(self, frames):
         serial = StreamProcessor(OPTIMIZED).run(frames)
         overlap = StreamProcessor(OPTIMIZED,
