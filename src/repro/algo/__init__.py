@@ -1,10 +1,10 @@
 """Canonical, vectorized definitions of every sharpness stage.
 
 This package is the single source of truth for the algorithm's *semantics*.
-The CPU baseline (:mod:`repro.cpu`), the functional path of every
-simulated-GPU kernel (:mod:`repro.kernels`) and the plan executor
-(:mod:`repro.core.plan`) delegate to these functions, so that any two
-pipeline configurations produce bit-identical images; the scalar
+The functional path of every simulated-GPU kernel (:mod:`repro.kernels`)
+and the strip executor (:mod:`repro.algo.strips`, which both the CPU
+baseline and plan replay run) delegate to these functions, so that any
+two pipeline configurations produce bit-identical images; the scalar
 golden reference in :mod:`repro.cpu.naive` is an independent implementation
 used to cross-check them.
 """

@@ -4,10 +4,10 @@ The geometry and interpretation decisions are documented in DESIGN.md
 section 3; the docstrings below restate the exact contracts that all other
 implementations (scalar golden reference, simulated-GPU kernels) must honour.
 
-These are the pipeline's only vectorized numerics: the CPU pipeline and
-the kernels' functional faces call the whole-frame functions, the plan
-executor (:mod:`repro.core.plan`) calls the row-range forms strip by
-strip.  A whole-frame function is its row-range form over every row, so
+These are the pipeline's only vectorized numerics: the kernels'
+functional faces call the whole-frame functions, the strip executor
+(:mod:`repro.algo.strips`, run by plan replay and the CPU pipeline) calls
+the row-range forms strip by strip.  A whole-frame function is its row-range form over every row, so
 strip boundaries cannot change a bit.  Whole-frame functions validate
 their inputs and never mutate them; ``out=`` must have the result's shape,
 and scratch arrays are used up to the size needed.

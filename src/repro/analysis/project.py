@@ -47,7 +47,8 @@ BUILTIN_RAISES = {
 
 #: Module paths (relative to the package root) that are replayed from
 #: cached plans and therefore must be deterministic (PL-TIME).
-REPLAYED_PREFIXES = ("simgpu/", "kernels/", "core/plan.py")
+REPLAYED_PREFIXES = ("simgpu/", "kernels/", "core/plan.py",
+                     "algo/strips.py")
 
 #: Calls that read the wall clock or ambient randomness.
 _CLOCK_CALLS = {

@@ -51,20 +51,6 @@ class Buffer:
     def release(self) -> None:
         self.mem.release()
 
-    def reset(self, *, zero: bool = False) -> None:
-        """Recycle the buffer for a new frame (buffer-pool reuse).
-
-        Clears any leftover map state so a pooled buffer never leaks a
-        mapping across frames; ``zero=True`` additionally restores the
-        freshly-created all-zero contents (pools skip this for buffers the
-        next frame fully overwrites).
-        """
-        self.mem._check_alive()
-        if self.mem.mapped:
-            self.mem.set_mapped(False)
-        if zero:
-            self.mem.data[...] = 0
-
     # -- validation helpers used by the queue --------------------------------
 
     def check_context(self, context) -> None:

@@ -324,8 +324,7 @@ class BatchEngine:
         self.hooks = hooks or _NoHooks()
         self.resilience = self._effective_resilience(resilience)
         self.plan_cache = PlanCache()
-        self.buffer_pool = BufferPool(max_entries=workers + 1, device=device,
-                                      obs=self.obs)
+        self.buffer_pool = BufferPool(max_entries=workers + 1, obs=self.obs)
         self._breaker = None
         self._budget = None
         if self.resilience is not None:

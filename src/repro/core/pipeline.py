@@ -34,7 +34,7 @@ from ..cl.queue import CommandQueue
 from ..cpu.cost import border_host_time, reduction_host_time
 from ..algo import stages as algo
 from ..kernels.base import round_up
-from ..kernels.reduction import GROUP_SPAN, reduction_layout
+from ..kernels.reduction import reduction_layout
 from ..kernels.upscale_border import BORDER_GLOBAL, BORDER_LOCAL
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
@@ -45,7 +45,7 @@ from .bufferpool import BufferPool
 from .config import OPTIMIZED, OptimizationFlags
 from .fusion import build_kernel_set
 from .metrics import GPU_STAGE_ORDER, stage_times_from_timeline
-from .plan import ExecutionPlan, PlanCache, PlanKey
+from .plan import ExecutionPlan, PlanCache, PlanKey, _reduction_levels
 from .transfer import TransferPlanner
 
 #: Workgroup tile for 2-D pixel kernels (16x16 = 256 = the W8000 limit).
@@ -159,7 +159,7 @@ class GPUPipeline:
         self.plan_cache = plan_cache if plan_cache is not None else (
             PlanCache() if caching else None)
         self.buffer_pool = buffer_pool if buffer_pool is not None else (
-            BufferPool(device=device, obs=self.obs) if caching else None)
+            BufferPool(obs=self.obs) if caching else None)
 
     # -- helpers -------------------------------------------------------------
 
@@ -236,35 +236,6 @@ class GPUPipeline:
             params_structure=type(self.params).__name__,
         )
 
-    def _plan_geometry(self, h: int, w: int) -> dict:
-        """The NDRange geometry of every launch the flag set implies."""
-        flags = self.flags
-        geometry = {"downscale": _grid2d(w // 4, h // 4)}
-        if heuristics.border_on_gpu(flags, h, w):
-            geometry["border"] = (BORDER_GLOBAL, BORDER_LOCAL)
-        if flags.vectorize:
-            geometry["center"] = _grid2d((w - 4) // 4, (h - 4) // 4)
-            geometry["sobel"] = _grid2d(round_up(w, 4) // 4, h)
-        else:
-            geometry["center"] = _grid2d(w - 4, h - 4)
-            geometry["sobel"] = _grid2d(w, h)
-        if flags.reduction_on_gpu:
-            n_groups, gsz, lsz = reduction_layout(h * w)
-            geometry["reduction0"] = (gsz, lsz)
-            stage2 = heuristics.reduction_stage2_on_gpu(flags, n_groups)
-            count, level = n_groups, 1
-            while stage2 and count > GROUP_SPAN:
-                n_groups, gsz, lsz = reduction_layout(count)
-                geometry[f"reduction{level}"] = (gsz, lsz)
-                count, level = n_groups, level + 1
-        if flags.fuse_sharpness:
-            geometry["sharpness"] = (_grid2d(round_up(w, 4) // 4, h)
-                                     if flags.vectorize else _grid2d(w, h))
-        else:
-            geometry["perror"] = geometry["prelim"] = \
-                geometry["overshoot"] = _grid2d(w, h)
-        return geometry
-
     def _capture_plan(self, key: PlanKey, result: GPUResult,
                       queue: CommandQueue) -> ExecutionPlan:
         kernels = build_kernel_set(self.flags)
@@ -273,9 +244,7 @@ class GPUPipeline:
             timeline=result.timeline,
             times=result.times,
             border_gpu=result.border_ran_on_gpu,
-            stage2_gpu=result.reduction_stage2_on_gpu,
             kernels=tuple(sorted(kernels)),
-            geometry=self._plan_geometry(key.height, key.width),
             transfer_bytes=queue.transfer_bytes,
         )
         if self.obs.enabled:
@@ -308,7 +277,8 @@ class GPUPipeline:
         pool = self.buffer_pool
         ws = pool.checkout(image.height, image.width)
         try:
-            final, edge_mean = plan.execute(image.plane, self.params, ws)
+            final, edge_mean = plan.execute(image.plane, self.params, ws,
+                                            trace=obs.trace)
         finally:
             pool.checkin(ws)
         if obs.enabled:
@@ -494,8 +464,8 @@ class GPUPipeline:
 
         Returns ``(mean, stage2_ran_on_gpu)``.
         """
-        flags = self.flags
-        if not flags.reduction_on_gpu:
+        levels, stage2_gpu = _reduction_levels(self.flags, n)
+        if not levels:
             # Naive placement: ship the whole pEdge matrix to the host and
             # sum it there (the Fig. 16 "on CPU" curve).
             pedge_host = planner.download(pedge_buf, stage="reduction")
@@ -504,24 +474,15 @@ class GPUPipeline:
                             stage="reduction")
             return float(pedge_host.sum()) / n, False
 
-        # Stage 1: workgroup tree reduction on the device.
-        n_groups, gsz, lsz = reduction_layout(n)
-        partial_buf = ctx.create_buffer((n_groups,), transfer_itemsize=4,
-                                        name="partial0")
-        self._launch(queue, kernels["reduction"],
-                     (pedge_buf, partial_buf, n), gsz, lsz, "reduction")
-
-        stage2_gpu = heuristics.reduction_stage2_on_gpu(flags, n_groups)
-        count = n_groups
-        current = partial_buf
-        level = 1
-        while stage2_gpu and count > GROUP_SPAN:
-            ng2, gsz2, lsz2 = reduction_layout(count)
-            nxt = ctx.create_buffer((ng2,), transfer_itemsize=4,
+        # Workgroup tree reductions on the device, one launch per level.
+        current = pedge_buf
+        for level, (count, n_groups) in enumerate(levels):
+            _, gsz, lsz = reduction_layout(count)
+            nxt = ctx.create_buffer((n_groups,), transfer_itemsize=4,
                                     name=f"partial{level}")
             self._launch(queue, kernels["reduction"],
-                         (current, nxt, count), gsz2, lsz2, "reduction")
-            current, count, level = nxt, ng2, level + 1
+                         (current, nxt, count), gsz, lsz, "reduction")
+            current, count = nxt, n_groups
 
         # Final: the surviving partials come back in one small transfer and
         # the host adds them up.

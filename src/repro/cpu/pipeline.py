@@ -1,8 +1,10 @@
 """The CPU baseline pipeline (the comparator of Fig. 12/13a).
 
-Runs the canonical vectorized stages and attaches the i5-3470 cost model's
-per-stage simulated times, so experiments can report both the baseline's
-output image and its Fig.-13(a)-style time breakdown.
+Runs the canonical vectorized stages through the strip executor
+(:mod:`repro.algo.strips`, the schedule plan replay runs too) and attaches
+the i5-3470 cost model's per-stage simulated times, so experiments can
+report both the baseline's output image and its Fig.-13(a)-style time
+breakdown.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..algo import stages as algo
+from ..algo import strips
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..simgpu.device import CPUSpec, I5_3470
 from ..types import Image, SharpnessParams, StageTimes
@@ -46,12 +49,14 @@ class CPUPipeline:
         CPU spec used for the simulated timing (defaults to Table I's
         i5-3470).
     keep_intermediates:
-        Retain every intermediate matrix on the result (tests/examples).
+        Retain every intermediate matrix on the result (tests/examples):
+        the frame then runs through the whole-frame reference
+        :func:`~repro.algo.stages.sharpen` instead of the strip executor.
     obs:
-        Optional :class:`~repro.obs.RunContext`.  When given, every stage
-        runs inside a host span and the cost model's per-stage simulated
-        times land in the ``repro_stage_seconds`` histogram under
-        ``pipeline=<label>``.
+        Optional :class:`~repro.obs.RunContext`.  When given, the run and
+        each executor phase run inside host spans and the cost model's
+        per-stage simulated times land in the ``repro_stage_seconds``
+        histogram under ``pipeline=<label>``.
     label:
         Pipeline label used in metrics and logs (defaults to ``"cpu"``).
     """
@@ -76,21 +81,15 @@ class CPUPipeline:
         times = cost.stage_times(h, w, self.cpu)
 
         with obs.trace.span("cpu.run", pipeline=self.label, h=h, w=w):
-            with obs.trace.span("cpu.downscale"):
-                down = algo.downscale(src)
-            with obs.trace.span("cpu.upscale"):
-                up = algo.upscale(down)
-            with obs.trace.span("cpu.perror"):
-                err = algo.perror(src, up)
-            with obs.trace.span("cpu.sobel"):
-                edge = algo.sobel(src)
-            with obs.trace.span("cpu.reduction"):
-                edge_mean = algo.reduce_mean(edge)
-            with obs.trace.span("cpu.strength"):
-                strength = algo.strength_map(edge, edge_mean, self.params)
-                prelim = algo.preliminary_sharpen(up, err, strength)
-            with obs.trace.span("cpu.overshoot"):
-                final = algo.overshoot_control(prelim, src, self.params)
+            if self.keep_intermediates:
+                intermediates = algo.sharpen(src, self.params)
+                final = intermediates.pop("final")
+                edge_mean = intermediates.pop("edge_mean")
+            else:
+                final, edge_mean = strips.run(
+                    src, self.params, strips.Workspace(h, w),
+                    algo.reduce_mean, obs.trace)
+                intermediates = {}
 
         obs.observe_stages(self.label, times.times,
                            declare=cost.CPU_STAGE_ORDER)
@@ -101,16 +100,6 @@ class CPUPipeline:
                 simulated_ms=times.total * 1e3,
             )
 
-        intermediates: dict[str, np.ndarray] = {}
-        if self.keep_intermediates:
-            intermediates = {
-                "downscaled": down,
-                "upscaled": up,
-                "p_error": err,
-                "p_edge": edge,
-                "strength": strength,
-                "preliminary": prelim,
-            }
         return CPUResult(
             final=final,
             times=times,

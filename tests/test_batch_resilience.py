@@ -179,3 +179,37 @@ class TestWorkerRetry:
         outcomes = {c.labels["outcome"]: c.value for c in retries.children}
         assert outcomes["exhausted"] == 1
         assert outcomes["retried"] == 2
+
+
+class TestOneRetryOwner:
+    """The engine's retry loop wraps ``FallbackPipeline``'s own: a GPU
+    fault is retried by the wrapper alone, a worker crash by the engine
+    alone, so nesting never multiplies the attempts of one frame."""
+
+    @pytest.mark.parametrize("fallback", [True, False],
+                             ids=["fallback", "no-fallback"])
+    @pytest.mark.parametrize("spec,gpu_calls,attempts", [
+        ("kernel:rate=1.0,kind=transient", 3, 1),
+        ("kernel:rate=1.0,kind=permanent", 1, 1),
+        ("worker:rate=1.0,kind=transient", 0, 3),
+    ], ids=["transient", "permanent", "worker"])
+    def test_attempts_per_frame(self, monkeypatch, frames10, spec,
+                                gpu_calls, attempts, fallback):
+        from repro.core.pipeline import GPUPipeline
+
+        calls = []
+        real_run = GPUPipeline.run
+
+        def counting_run(pipe, image):
+            calls.append(1)
+            return real_run(pipe, image)
+
+        monkeypatch.setattr(GPUPipeline, "run", counting_run)
+        obs = quiet_obs(faults=FaultPlan.parse(f"{spec};seed=0"))
+        cfg = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+            breaker_failures=100, fallback=fallback)
+        result = BatchEngine(OPTIMIZED, workers=1, obs=obs,
+                             resilience=cfg).run(frames10[:1])
+        assert len(calls) == gpu_calls
+        assert result.frames[0].attempts == attempts

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.algo import strips
 from repro.core import (
     BufferPool,
     GPUPipeline,
     OPTIMIZED,
     Workspace,
-    bufferpool,
-    plan,
 )
 from repro.errors import ConfigError
 from repro.types import Image
@@ -27,7 +26,7 @@ def _owned_arrays(obj, seen=None):
         return [obj]
     if isinstance(obj, (list, tuple)):
         return [a for item in obj for a in _owned_arrays(item, seen)]
-    if type(obj).__module__ == bufferpool.__name__:
+    if type(obj).__module__ == strips.__name__:
         return [a for value in vars(obj).values()
                 for a in _owned_arrays(value, seen)]
     return []
@@ -41,7 +40,7 @@ class TestWorkspace:
 
     def test_edge_ring_zero_on_creation(self):
         ws = Workspace(16, 20)
-        assert not ws.edge.any()  # device buffers are zero-initialized
+        assert not ws.edge.any()  # a new pEdge plane is all zero
 
     def test_reset_restores_edge_ring(self):
         ws = Workspace(16, 16)
@@ -111,8 +110,8 @@ class TestPoolHygiene:
     def test_poisoned_workspace_produces_identical_frames(self, monkeypatch):
         # Three-row strips on three lanes, so the workspace owns several
         # lanes' strip scratch.
-        monkeypatch.setattr(bufferpool, "STRIP_BYTES", 3 * 8 * 32)
-        monkeypatch.setattr(plan, "STRIP_LANES", plan.StripLanes(3))
+        monkeypatch.setattr(strips, "STRIP_BYTES", 3 * 8 * 32)
+        monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(3))
         frames = [Image.from_array(f)
                   for f in images.video_sequence(32, 32, 3, seed=5)]
         ref = [GPUPipeline(OPTIMIZED, caching=False).run(f).final

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.algo import stages as algo
+from repro.algo import strips
 from repro.core import (
     BASE,
     LADDER,
@@ -17,9 +18,8 @@ from repro.core import (
     GPUPipeline,
     PlanCache,
     PlanKey,
-    bufferpool,
-    plan,
 )
+from repro.cpu import CPUPipeline
 from repro.errors import ConfigError, KernelLaunchFault
 from repro.obs import RunContext
 from repro.simgpu.device import W8000
@@ -107,7 +107,7 @@ class TestPlanCorrectness:
 
 #: A 2048-wide frame two strips and four rows tall: its interior rows end
 #: in a ragged two-row strip.
-_STRIP_2048 = bufferpool.strip_rows(4096, 2048)
+_STRIP_2048 = strips.strip_rows(4096, 2048)
 _RAGGED = (2 * _STRIP_2048 + 4, 2048)
 
 
@@ -119,8 +119,8 @@ def _frame(shape, kind, seed):
 def _small_strips(monkeypatch, rows, cpus):
     """Strips of ``rows`` rows for frames up to 64 wide, on ``cpus``
     lanes regardless of the host."""
-    monkeypatch.setattr(bufferpool, "STRIP_BYTES", rows * 8 * 64)
-    monkeypatch.setattr(plan, "STRIP_LANES", plan.StripLanes(cpus))
+    monkeypatch.setattr(strips, "STRIP_BYTES", rows * 8 * 64)
+    monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(cpus))
 
 
 class TestStripExecutor:
@@ -154,13 +154,13 @@ class TestStripExecutor:
 
     def test_ragged_shape_really_has_a_ragged_strip(self):
         h, w = _RAGGED
-        strip = bufferpool.strip_rows(h, w)
+        strip = strips.strip_rows(h, w)
         assert strip == _STRIP_2048 and (h - 2) % strip == 2
 
     @pytest.mark.parametrize("rows", [1, 3, 5])
     def test_multi_lane_equals_single_lane(self, monkeypatch, rows):
         frames = [_frame((36, 64), "float", seed=s) for s in (1, 2)]
-        outputs = {}
+        outputs, cpu_outputs = {}, {}
         for cpus in (1, 4):
             _small_strips(monkeypatch, rows, cpus)
             pipe = GPUPipeline(OPTIMIZED)
@@ -169,13 +169,22 @@ class TestStripExecutor:
             (ws,) = pipe.buffer_pool._idle[(36, 64)]
             assert ws.strip == rows
             assert len(ws.lanes) == min(cpus, -(-34 // rows))
+            # The CPU pipeline runs the same strips with the flat mean.
+            cpu_outputs[cpus] = [CPUPipeline().run(f) for f in frames]
         generic = GPUPipeline(OPTIMIZED, caching=False)
-        for f, one, many in zip(frames, outputs[1], outputs[4]):
+        for f, one, many, cpu_one, cpu_many in zip(
+                frames, outputs[1], outputs[4], cpu_outputs[1],
+                cpu_outputs[4]):
             ref = generic.run(f)
             assert np.array_equal(one.final, ref.final)
             assert np.array_equal(many.final, ref.final)
             assert one.edge_mean == many.edge_mean == ref.edge_mean
-        assert plan.STRIP_LANES.busy() == 0
+            canon = algo.sharpen(f)
+            assert np.array_equal(cpu_one.final, canon["final"])
+            assert np.array_equal(cpu_many.final, canon["final"])
+            assert cpu_one.edge_mean == cpu_many.edge_mean == \
+                canon["edge_mean"]
+        assert strips.STRIP_LANES.busy() == 0
 
 
 class TestStripConcurrency:
@@ -210,7 +219,7 @@ class TestStripConcurrency:
         for outs in results.values():
             for got, ref in zip(outs, refs):
                 assert np.array_equal(got, ref)
-        assert plan.STRIP_LANES.busy() == 0
+        assert strips.STRIP_LANES.busy() == 0
         assert pipe.buffer_pool.stats()["in_use"] == 0
 
     def test_failing_lane_reaches_the_caller(self, monkeypatch):
@@ -218,20 +227,20 @@ class TestStripConcurrency:
         frame = _frame((36, 64), "u8", seed=3)
         pipe = GPUPipeline(OPTIMIZED)
         pipe.run(frame)  # capture
-        original = plan._sharpen_strip
+        original = strips._sharpen_strip
 
         def failing(plane, ws, r0, r1, *args):
             if r0 > 1:
                 raise RuntimeError(f"lane failed at row {r0}")
             original(plane, ws, r0, r1, *args)
 
-        monkeypatch.setattr(plan, "_sharpen_strip", failing)
+        monkeypatch.setattr(strips, "_sharpen_strip", failing)
         with pytest.raises(RuntimeError, match="lane failed"):
             pipe.run(frame)
         assert pipe.buffer_pool.stats()["in_use"] == 0
-        assert plan.STRIP_LANES.busy() == 0
+        assert strips.STRIP_LANES.busy() == 0
         # The workspace the failed frame used is clean for the next one.
-        monkeypatch.setattr(plan, "_sharpen_strip", original)
+        monkeypatch.setattr(strips, "_sharpen_strip", original)
         assert np.array_equal(pipe.run(frame).final,
                               algo.sharpen(frame)["final"])
 

@@ -119,6 +119,11 @@ class TestGPUPipelineIntegration:
         assert fam.labels(pipeline="gpu").value == 2
         hist = obs.stage_histogram().labels(pipeline="gpu", stage="sobel")
         assert hist.count == 2
+        # The second run replays the plan through the strip executor.
+        replay = [s for s in obs.trace.spans if s.name == "gpu.run"][1]
+        assert [s.name for s in obs.trace.spans if s.parent is replay] == [
+            "strips.downscale", "strips.pass1", "strips.reduce",
+            "strips.pass2"]
 
 
 class TestCPUPipelineIntegration:
@@ -130,7 +135,10 @@ class TestCPUPipelineIntegration:
         assert fracs == pytest.approx(res.times.fractions())
         names = [s.name for s in obs.trace.spans]
         assert names[0] == "cpu.run"
-        assert "cpu.overshoot" in names
+        (run,) = [s for s in obs.trace.spans if s.name == "cpu.run"]
+        phases = [s.name for s in obs.trace.spans if s.parent is run]
+        assert phases == ["strips.downscale", "strips.pass1",
+                          "strips.reduce", "strips.pass2"]
 
     def test_obs_does_not_change_pixels(self):
         img = images.natural_like(64, 64, seed=0)
