@@ -13,6 +13,7 @@ from .stages import (
     BORDER_WEIGHTS,
     UPSCALE_P,
     downscale,
+    group_sums,
     overshoot_control,
     perror,
     preliminary_sharpen,
@@ -31,6 +32,7 @@ __all__ = [
     "BORDER_WEIGHTS",
     "UPSCALE_P",
     "downscale",
+    "group_sums",
     "overshoot_control",
     "perror",
     "preliminary_sharpen",

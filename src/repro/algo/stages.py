@@ -50,6 +50,13 @@ BORDER_WEIGHTS = np.array(
     dtype=FLOAT,
 )
 
+#: Reduction workgroup layout (section V.C): 128 work-items (two GCN
+#: wavefronts) that each first-add 8 elements during load, so one
+#: workgroup sums a contiguous ``GROUP_SPAN``-element slice of pEdge.
+REDUCTION_WG = 128
+REDUCTION_ELEMENTS_PER_THREAD = 8
+GROUP_SPAN = REDUCTION_WG * REDUCTION_ELEMENTS_PER_THREAD
+
 #: Sobel convolution masks (Fig. 7).  Signs are irrelevant after the absolute
 #: value; these are the classical kernels.
 SOBEL_GX = np.array(
@@ -325,12 +332,42 @@ def reduce_sum(values: np.ndarray) -> float:
     return float(np.asarray(values, dtype=FLOAT).sum())
 
 
-def reduce_mean(values: np.ndarray) -> float:
-    """Arithmetic mean of all elements of ``values``."""
+def group_sums(flat: np.ndarray, count: int, n_groups: int,
+               span: int) -> np.ndarray:
+    """Per-workgroup sums of ``flat[:count]``: group ``g`` adds the
+    contiguous slice ``[g * span, (g + 1) * span)`` (the last one is
+    cut at ``count``).
+
+    A contiguous row of a reshape and the equivalent 1-D slice run the
+    same pairwise summation, so every partial has the bits of that
+    slice's ``.sum()``.
+    """
+    full = count // span
+    if full == n_groups:
+        return flat[:count].reshape(n_groups, span).sum(axis=1)
+    partials = np.empty(n_groups, dtype=FLOAT)
+    if full:
+        partials[:full] = flat[:full * span].reshape(full, span).sum(axis=1)
+    partials[full] = flat[full * span:count].sum()
+    return partials
+
+
+def reduce_mean(values: np.ndarray,
+                levels: tuple[tuple[int, int], ...] = ()) -> float:
+    """Arithmetic mean of all elements of ``values``.
+
+    ``levels`` is the device reduction's level chain, ``(count,
+    n_groups)`` per launch: the flat values are folded through
+    :func:`group_sums` (span :data:`GROUP_SPAN`) level by level before
+    the final host sum, which reproduces the kernel's summation order.
+    """
     arr = np.asarray(values, dtype=FLOAT)
     if arr.size == 0:
         raise ValidationError("cannot reduce an empty array")
-    return reduce_sum(arr) / float(arr.size)
+    partials = arr
+    for count, n_groups in levels:
+        partials = group_sums(partials.ravel(), count, n_groups, GROUP_SPAN)
+    return reduce_sum(partials) / float(arr.size)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@
 only decides in which order, and in which pieces, the stages run over a
 frame.  The plan executor (:meth:`~repro.core.plan.ExecutionPlan.execute`)
 and the CPU pipeline (:class:`~repro.cpu.CPUPipeline`) both produce their
-pixels through :func:`run`; they differ only in the pEdge reduction they
-hand in.  Every output element is computed by the same stage expression
-whatever the strip, so the result is bit-identical to
-:func:`~repro.algo.stages.sharpen` given the same reduction.
+pixels through :func:`run`; they differ only in the pEdge reduction level
+chain they hand in (the device kernel's, or none).  Every output element
+is computed by the same stage expression whatever the strip, so the
+result is bit-identical to :func:`~repro.algo.stages.sharpen` given the
+same chain.
 
 Only the downscale (whose output is 1/16 of the frame) and the pEdge
 reduction run over the whole frame; the rest runs on row strips of the
@@ -17,8 +18,9 @@ scratch stays in cache:
 1. downscale the whole frame;
 2. **pass 1**, per strip: upscale-body rows into ``up``, then Sobel rows
    into ``pEdge``; then the upscale border lines (O(h + w));
-3. the pEdge mean through the caller's reduction — the pipeline's only
-   global barrier, hence two passes;
+3. the pEdge mean, :func:`~repro.algo.stages.reduce_mean` through the
+   caller's level chain — the pipeline's only global barrier, hence two
+   passes;
 4. **pass 2**, per strip: pError, strength, preliminary, 3x3 min/max and
    the overshoot blend into the output; then the output's border lines
    from ``up``.
@@ -282,15 +284,17 @@ def _sharpen_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
 
 
 def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
-        reduce: Callable[[np.ndarray], float],
+        levels: tuple[tuple[int, int], ...],
         trace) -> tuple[np.ndarray, float]:
     """Sharpen ``plane`` through the scratch of ``ws`` (a frame-clean
     :class:`Workspace` of the same shape); return ``(final, edge_mean)``.
 
-    ``reduce`` maps the whole pEdge plane to its mean.  Each phase runs in
-    a span of ``trace`` (``strips.downscale``, ``strips.pass1``,
-    ``strips.reduce``, ``strips.pass2``).  Steady state allocates nothing
-    but the returned output plane, which the caller owns.
+    ``levels`` is the reduction level chain the pEdge mean is folded
+    through (see :func:`~repro.algo.stages.reduce_mean`; ``()`` for a
+    flat host sum).  Each phase runs in a span of ``trace``
+    (``strips.downscale``, ``strips.pass1``, ``strips.reduce``,
+    ``strips.pass2``).  Steady state allocates nothing but the returned
+    output plane, which the caller owns.
     """
     h, w = plane.shape
     # Strip j covers interior rows [1 + j*S, 1 + (j+1)*S) ∩ [1, h-1).
@@ -309,7 +313,7 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
             algo.upscale_border_apply(ws.up, ws.down)
         with trace.span("strips.reduce"):
             # The pEdge border ring is kept zero by Workspace.reset().
-            edge_mean = reduce(ws.edge)
+            edge_mean = algo.reduce_mean(ws.edge, levels)
         with trace.span("strips.pass2"):
             final = np.empty((h, w), dtype=FLOAT)
             STRIP_LANES.run(ws, n_strips, lambda j, s: _sharpen_strip(

@@ -48,7 +48,7 @@ BUILTIN_RAISES = {
 #: Module paths (relative to the package root) that are replayed from
 #: cached plans and therefore must be deterministic (PL-TIME).
 REPLAYED_PREFIXES = ("simgpu/", "kernels/", "core/plan.py",
-                     "algo/strips.py")
+                     "algo/strips.py", "algo/stages.py")
 
 #: Calls that read the wall clock or ambient randomness.
 _CLOCK_CALLS = {

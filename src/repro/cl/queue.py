@@ -99,19 +99,6 @@ class CommandQueue:
     def release(self) -> None:
         self._released = True
 
-    def reset(self) -> None:
-        """Recycle the queue for another frame (buffer-pool reuse).
-
-        Drops any map state left pending by an aborted frame; the timeline
-        and transfer totals keep accumulating, as they would on a real
-        long-lived command queue.
-        """
-        self._check_alive()
-        for buf, _, _ in list(self._pending_maps.values()):
-            if buf.mem.mapped:
-                buf.end_map()
-        self._pending_maps.clear()
-
     # -- explicit transfers (read/write mode) --------------------------------
 
     def enqueue_write_buffer(self, buf: Buffer, host: np.ndarray,

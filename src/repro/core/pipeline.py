@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class GPUResult:
     border_ran_on_gpu: bool
     reduction_stage2_on_gpu: bool
     kernel_launches: int = 0
-    intermediates: dict[str, np.ndarray] = field(default_factory=dict)
     #: Which backend produced the pixels: ``"gpu"`` for the simulated
     #: device path, ``"cpu-fallback"`` when the resilience layer served
     #: the frame from :class:`~repro.cpu.CPUPipeline`.
@@ -100,8 +99,6 @@ class GPUPipeline:
     mode:
         ``"functional"`` (fast) or ``"emulate"`` (per-work-item, small
         images only).
-    keep_intermediates:
-        Retain intermediate device buffers on the result.
     obs:
         Optional :class:`~repro.obs.RunContext`.  When given, every run
         emits host spans per stage, merges the simulated device timeline
@@ -118,8 +115,7 @@ class GPUPipeline:
         simulated timeline, and the same metrics at a fraction of the
         wall-clock cost.  ``caching=False`` restores the plan-free
         per-frame behaviour (the throughput benchmark's baseline).
-        Emulate/dry-run modes and ``keep_intermediates`` always take the
-        generic path.
+        Emulate/dry-run modes always take the generic path.
     plan_cache / buffer_pool:
         Share a :class:`~repro.core.plan.PlanCache` /
         :class:`~repro.core.bufferpool.BufferPool` across pipelines (the
@@ -130,7 +126,6 @@ class GPUPipeline:
                  params: SharpnessParams | None = None,
                  device: DeviceSpec = W8000, cpu: CPUSpec = I5_3470,
                  *, mode: str = "functional",
-                 keep_intermediates: bool = False,
                  obs: RunContext | None = None,
                  label: str = "gpu",
                  caching: bool = True,
@@ -152,7 +147,6 @@ class GPUPipeline:
         self.device = device
         self.cpu = cpu
         self.mode = mode
-        self.keep_intermediates = keep_intermediates
         self.obs = obs or NULL_CONTEXT
         self.label = label
         self.caching = caching
@@ -223,35 +217,24 @@ class GPUPipeline:
 
     def _plan_eligible(self) -> bool:
         """Cached execution covers the pixel-producing functional mode only;
-        emulation, dry runs and intermediate capture stay fully generic."""
+        emulation and dry runs stay fully generic."""
         return (self.caching and self.plan_cache is not None
                 and self.buffer_pool is not None
-                and self.mode == "functional"
-                and not self.keep_intermediates)
+                and self.mode == "functional")
 
     def _plan_key(self, image: Image) -> PlanKey:
         return PlanKey(
             height=image.height, width=image.width, flags=self.flags,
             device=self.device, cpu=self.cpu, mode=self.mode,
-            params_structure=type(self.params).__name__,
         )
 
     def _capture_plan(self, key: PlanKey, result: GPUResult,
                       queue: CommandQueue) -> ExecutionPlan:
-        kernels = build_kernel_set(self.flags)
-        plan = ExecutionPlan.capture(
-            key,
-            timeline=result.timeline,
-            times=result.times,
-            border_gpu=result.border_ran_on_gpu,
-            kernels=tuple(sorted(kernels)),
-            transfer_bytes=queue.transfer_bytes,
-        )
+        plan = ExecutionPlan(key, result.timeline, queue.transfer_bytes)
         if self.obs.enabled:
             self.obs.log.debug(
                 "plan.captured", pipeline=self.label,
                 h=key.height, w=key.width,
-                kernels=",".join(plan.kernels),
                 levels=len(plan.reduction_levels),
             )
         return plan
@@ -301,7 +284,6 @@ class GPUPipeline:
             border_ran_on_gpu=plan.border_gpu,
             reduction_stage2_on_gpu=plan.stage2_gpu,
             kernel_launches=plan.kernel_launches,
-            intermediates={},
         )
 
     def _run_instrumented(self, image: Image,
@@ -435,13 +417,6 @@ class GPUPipeline:
         with obs.trace.span("gpu.readback"):
             final = planner.download(final_buf, stage="data_init")
 
-        intermediates: dict[str, np.ndarray] = {}
-        if self.keep_intermediates:
-            intermediates = {
-                "downscaled": down_buf.data.copy(),
-                "upscaled": up_buf.data.copy(),
-                "p_edge": pedge_buf.data.copy(),
-            }
         result = GPUResult(
             final=final,
             times=stage_times_from_timeline(ctx.timeline),
@@ -451,7 +426,6 @@ class GPUPipeline:
             border_ran_on_gpu=border_gpu,
             reduction_stage2_on_gpu=stage2_gpu,
             kernel_launches=len(ctx.timeline.of_kind("kernel")),
-            intermediates=intermediates,
         )
         return result, queue
 

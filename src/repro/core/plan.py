@@ -1,28 +1,29 @@
 """Execution plans: amortize per-frame pipeline setup across a stream.
 
 ``GPUPipeline.run`` derives the same facts from scratch on every frame of a
-stream: which kernels the flag set implies, where the border and reduction
-stage 2 run, the reduction level chain, and — in the simulation — the
-entire event timeline, which is a pure function of
-``(shape, flags, device, cpu, mode)`` and never of pixel values (the dry-run
-mode relies on exactly this property).
+stream: where the border and reduction stage 2 run, the reduction level
+chain, and — in the simulation — the entire event timeline, which is a pure
+function of ``(shape, flags, device, cpu, mode)`` and never of pixel values
+(the dry-run mode relies on exactly this property).
 
-An :class:`ExecutionPlan` captures all of that once, from the first (fully
-generic) run of a given :class:`PlanKey`, and replays it for every later
-frame:
+An :class:`ExecutionPlan` stores what the first (fully generic) run of a
+given :class:`PlanKey` measured — its timeline and transfer bytes — and
+replays it for every later frame:
 
-* the *decisions* (kernel set, placements, reduction levels) are stored
-  and reused instead of re-derived;
-* the *timeline* and per-stage times are shared as an immutable template —
-  simulated costs are content-independent, so frame N's timeline is
-  bit-identical to frame 1's;
+* the *timeline* is shared as an immutable template — simulated costs are
+  content-independent, so frame N's timeline is bit-identical to frame
+  1's; the stage times, kernel launches and the queue metrics replayed
+  per frame are read off it;
+* the *decisions* (border placement, reduction level chain) are derived
+  once from the key by the functions the generic run calls;
 * the *pixels* come from the strip executor of :mod:`repro.algo.strips`
   — the same schedule the CPU pipeline runs — over pooled scratch (see
   :mod:`repro.core.bufferpool`), with no per-frame allocations beyond the
-  output plane itself.  The plan only supplies the pEdge reduction: the
-  device kernel's level chain, which reproduces its summation order.
-  Cached and uncached runs therefore produce **bit-identical** images and
-  edge means by construction.
+  output plane itself.  The plan only supplies the pEdge reduction's
+  level chain, plain data that :func:`repro.algo.stages.reduce_mean`
+  folds in the device kernel's summation order.  Cached and uncached
+  runs therefore produce **bit-identical** images and edge means by
+  construction.
 
 :class:`PlanCache` is a thread-safe LRU keyed on :class:`PlanKey`; its
 hit/miss counters surface through the metrics registry as
@@ -37,24 +38,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..algo import stages as algo
 from ..algo import strips
+from ..algo.stages import GROUP_SPAN
 from ..algo.strips import Workspace
-from ..kernels.reduction import GROUP_SPAN, reduction_layout
+from ..kernels.reduction import reduction_layout
 from ..obs.runctx import NULL_CONTEXT
 from ..simgpu.device import CPUSpec, DeviceSpec
 from ..simgpu.profiling import Timeline
-from ..types import FLOAT, SharpnessParams, StageTimes
+from ..types import SharpnessParams, StageTimes
 from . import heuristics
 from .config import OptimizationFlags
+from .metrics import stage_times_from_timeline
 
 @dataclass(frozen=True)
 class PlanKey:
     """Identity of an execution plan.
 
-    Params *values* are deliberately absent: the plan depends only on the
-    params structure (they feed kernel arguments, not kernel selection or
-    geometry), so one plan serves every tuning of the same shape/flags.
+    Params values are deliberately absent: they feed kernel arguments, not
+    kernel selection or geometry, so one plan serves every tuning of the
+    same shape/flags.
     """
 
     height: int
@@ -63,7 +65,6 @@ class PlanKey:
     device: DeviceSpec
     cpu: CPUSpec
     mode: str
-    params_structure: str = SharpnessParams.__name__
 
 
 def _reduction_levels(flags: OptimizationFlags,
@@ -89,74 +90,31 @@ def _reduction_levels(flags: OptimizationFlags,
     return tuple(levels), stage2_gpu
 
 
-def _group_sums(flat: np.ndarray, count: int, n_groups: int) -> np.ndarray:
-    """Per-workgroup sums of ``flat[:count]`` with the default span.
-
-    Bit-identical to the functional reduction kernel's per-slice ``.sum()``
-    loop: a contiguous row of a reshape and the equivalent 1-D slice run
-    the same pairwise summation.
-    """
-    span = GROUP_SPAN
-    full = count // span
-    if full == n_groups:
-        return flat[:count].reshape(n_groups, span).sum(axis=1)
-    partials = np.empty(n_groups, dtype=FLOAT)
-    if full:
-        partials[:full] = flat[:full * span].reshape(full, span).sum(axis=1)
-    partials[full] = flat[full * span:count].sum()
-    return partials
-
-
 @dataclass
 class ExecutionPlan:
-    """Everything frame-invariant about one pipeline configuration."""
+    """What the generic run of one pipeline configuration measured, and
+    the frame-invariant facts derived from it."""
 
     key: PlanKey
-    border_gpu: bool
-    stage2_gpu: bool
-    #: Device-side reduction levels as ``(count, n_groups)`` pairs.
-    reduction_levels: tuple[tuple[int, int], ...]
-    #: Kernel names of the flag set (introspection / logs).
-    kernels: tuple[str, ...]
     #: Immutable per-frame timeline template (content-independent costs).
     timeline: Timeline
-    times: StageTimes
-    kernel_launches: int
-    #: Observability replay: command counts by kind, simulated kernel
-    #: durations by kernel name, transfer bytes by direction.
-    cmd_counts: dict[str, int] = field(default_factory=dict)
-    kernel_durations: dict[str, tuple[float, ...]] = field(
-        default_factory=dict)
-    transfer_bytes: dict[str, int] = field(default_factory=dict)
+    #: Host<->device bytes by direction.
+    transfer_bytes: dict[str, int]
+    times: StageTimes = field(init=False)
+    kernel_launches: int = field(init=False)
+    border_gpu: bool = field(init=False)
+    #: Device-side reduction levels as ``(count, n_groups)`` pairs.
+    reduction_levels: tuple[tuple[int, int], ...] = field(init=False)
+    stage2_gpu: bool = field(init=False)
 
-    # -- capture --------------------------------------------------------------
-
-    @classmethod
-    def capture(cls, key: PlanKey, *, timeline: Timeline, times: StageTimes,
-                border_gpu: bool, kernels: tuple[str, ...],
-                transfer_bytes: dict[str, int]) -> "ExecutionPlan":
-        """Build a plan from the artifacts of one generic reference run."""
-        cmd_counts = dict(Counter(ev.kind for ev in timeline.events))
-        durations: dict[str, list[float]] = {}
-        for ev in timeline.events:
-            if ev.kind == "kernel":
-                name = ev.name.removeprefix("kernel:")
-                durations.setdefault(name, []).append(ev.duration)
-        levels, stage2_gpu = _reduction_levels(
+    def __post_init__(self) -> None:
+        key = self.key
+        self.times = stage_times_from_timeline(self.timeline)
+        self.kernel_launches = len(self.timeline.of_kind("kernel"))
+        self.border_gpu = heuristics.border_on_gpu(key.flags, key.height,
+                                                   key.width)
+        self.reduction_levels, self.stage2_gpu = _reduction_levels(
             key.flags, key.height * key.width)
-        return cls(
-            key=key,
-            border_gpu=border_gpu,
-            stage2_gpu=stage2_gpu,
-            reduction_levels=levels,
-            kernels=kernels,
-            timeline=timeline,
-            times=times,
-            kernel_launches=len(timeline.of_kind("kernel")),
-            cmd_counts=cmd_counts,
-            kernel_durations={k: tuple(v) for k, v in durations.items()},
-            transfer_bytes=dict(transfer_bytes),
-        )
 
     # -- observability replay -------------------------------------------------
 
@@ -165,9 +123,10 @@ class ExecutionPlan:
 
         Cached frames never touch a :class:`~repro.cl.queue.CommandQueue`,
         so the per-command counters/histograms the queue would have recorded
-        are replayed from the capture instead; counts and values match the
-        uncached run exactly (per-command debug *log lines* are not
-        replayed).
+        are replayed from the timeline instead.  Counts match the uncached
+        run exactly; a kernel's duration is its event's ``end - start``,
+        which can differ from the queue's value in the last bit.
+        Per-command debug *log lines* are not replayed.
         """
         if not obs.enabled:
             return
@@ -175,8 +134,17 @@ class ExecutionPlan:
             "repro_cl_commands_total", "Enqueued commands by kind",
             ("kind",),
         )
-        for kind, count in self.cmd_counts.items():
+        kernel_hist = obs.metrics.histogram(
+            "repro_cl_kernel_seconds",
+            "Simulated kernel duration per dispatched kernel (seconds)",
+            ("kernel",),
+        )
+        for kind, count in Counter(
+                ev.kind for ev in self.timeline.events).items():
             commands.labels(kind=kind).inc(count)
+        for ev in self.timeline.of_kind("kernel"):
+            kernel_hist.labels(
+                kernel=ev.name.removeprefix("kernel:")).observe(ev.duration)
         transfers = obs.metrics.counter(
             "repro_cl_transfer_bytes_total",
             "Host<->device bytes moved over the simulated PCI-E link",
@@ -185,15 +153,6 @@ class ExecutionPlan:
         for direction, nbytes in self.transfer_bytes.items():
             if nbytes:
                 transfers.labels(direction=direction).inc(nbytes)
-        kernel_hist = obs.metrics.histogram(
-            "repro_cl_kernel_seconds",
-            "Simulated kernel duration per dispatched kernel (seconds)",
-            ("kernel",),
-        )
-        for kernel, durations in self.kernel_durations.items():
-            child = kernel_hist.labels(kernel=kernel)
-            for duration in durations:
-                child.observe(duration)
 
     # -- specialized frame executor -------------------------------------------
 
@@ -201,22 +160,14 @@ class ExecutionPlan:
                 ws: Workspace, *, trace=NULL_CONTEXT.trace
                 ) -> tuple[np.ndarray, float]:
         """Sharpen one frame through the strip executor
-        (:func:`repro.algo.strips.run`) with this plan's reduction.
+        (:func:`repro.algo.strips.run`) with this plan's reduction levels.
 
         ``ws`` is a frame-clean :class:`~repro.algo.strips.Workspace` of
         matching shape; ``trace`` receives the executor's phase spans.
         Every pixel comes from a :mod:`repro.algo.stages` function, so the
         result is bit-identical to the generic kernel path.
         """
-        reduce = self._reduce if self.reduction_levels else algo.reduce_mean
-        return strips.run(plane, params, ws, reduce, trace)
-
-    def _reduce(self, edge: np.ndarray) -> float:
-        """The pEdge mean through the capture's exact level chain."""
-        flat = edge.ravel()
-        for count, n_groups in self.reduction_levels:
-            flat = _group_sums(flat, count, n_groups)
-        return float(flat.sum()) / edge.size
+        return strips.run(plane, params, ws, self.reduction_levels, trace)
 
 
 class PlanCache:

@@ -9,11 +9,10 @@ breakdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..algo import stages as algo
 from ..algo import strips
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..simgpu.device import CPUSpec, I5_3470
@@ -28,7 +27,6 @@ class CPUResult:
     final: np.ndarray
     times: StageTimes
     edge_mean: float
-    intermediates: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def total_time(self) -> float:
@@ -48,10 +46,6 @@ class CPUPipeline:
     cpu:
         CPU spec used for the simulated timing (defaults to Table I's
         i5-3470).
-    keep_intermediates:
-        Retain every intermediate matrix on the result (tests/examples):
-        the frame then runs through the whole-frame reference
-        :func:`~repro.algo.stages.sharpen` instead of the strip executor.
     obs:
         Optional :class:`~repro.obs.RunContext`.  When given, the run and
         each executor phase run inside host spans and the cost model's
@@ -63,12 +57,10 @@ class CPUPipeline:
 
     def __init__(self, params: SharpnessParams | None = None,
                  cpu: CPUSpec = I5_3470, *,
-                 keep_intermediates: bool = False,
                  obs: RunContext | None = None,
                  label: str = "cpu") -> None:
         self.params = params or SharpnessParams()
         self.cpu = cpu
-        self.keep_intermediates = keep_intermediates
         self.obs = obs or NULL_CONTEXT
         self.label = label
 
@@ -81,15 +73,8 @@ class CPUPipeline:
         times = cost.stage_times(h, w, self.cpu)
 
         with obs.trace.span("cpu.run", pipeline=self.label, h=h, w=w):
-            if self.keep_intermediates:
-                intermediates = algo.sharpen(src, self.params)
-                final = intermediates.pop("final")
-                edge_mean = intermediates.pop("edge_mean")
-            else:
-                final, edge_mean = strips.run(
-                    src, self.params, strips.Workspace(h, w),
-                    algo.reduce_mean, obs.trace)
-                intermediates = {}
+            final, edge_mean = strips.run(
+                src, self.params, strips.Workspace(h, w), (), obs.trace)
 
         obs.observe_stages(self.label, times.times,
                            declare=cost.CPU_STAGE_ORDER)
@@ -100,9 +85,4 @@ class CPUPipeline:
                 simulated_ms=times.total * 1e3,
             )
 
-        return CPUResult(
-            final=final,
-            times=times,
-            edge_mean=edge_mean,
-            intermediates=intermediates,
-        )
+        return CPUResult(final=final, times=times, edge_mean=edge_mean)

@@ -12,8 +12,12 @@ Kernel layout (the paper fixes "the amount of data processed per thread"):
   1024 elements;
 * the in-group tree then reduces the 128 partials to 1.
 
-Both constants are exposed as factory parameters so the ablation experiments
-can sweep them; the pipeline uses the defaults above.
+Both constants live in :mod:`repro.algo.stages` and are exposed as factory
+parameters so the ablation experiments can sweep them; the pipeline uses
+the defaults above.  The functional face is
+:func:`repro.algo.stages.group_sums`; a pipeline's level chain (one launch
+per ``(count, n_groups)``) is data that
+:func:`repro.algo.stages.reduce_mean` folds in the same order.
 
 Three tree variants, matching the paper's comparison (Fig. 15):
 
@@ -37,6 +41,9 @@ from __future__ import annotations
 import functools
 import math
 
+from .. import algo
+from ..algo.stages import GROUP_SPAN  # noqa: F401 - re-exported
+from ..algo.stages import REDUCTION_ELEMENTS_PER_THREAD, REDUCTION_WG
 from ..cl.kernel import KernelSpec
 from ..errors import ConfigError
 from ..simgpu.costmodel import KernelCost
@@ -45,10 +52,6 @@ from ..simgpu.emulator import BARRIER, WF_SYNC
 from ..util.validation import require_power_of_two
 from .base import F32
 
-REDUCTION_WG = 128
-REDUCTION_ELEMENTS_PER_THREAD = 8
-#: Elements one workgroup consumes with the default layout.
-GROUP_SPAN = REDUCTION_WG * REDUCTION_ELEMENTS_PER_THREAD
 #: Wavefront size the unrolled kernels are written for (GCN).
 KERNEL_WAVEFRONT = 64
 
@@ -209,11 +212,8 @@ def make_reduction_spec(*, unroll: int = 1, wg: int = REDUCTION_WG,
     n_barriers = barriers_for(unroll, wg)
 
     def functional(global_size, local_size, src, partial, n):
-        flat = src.ravel()[:n]
-        n_groups = global_size[0] // wg
-        out = partial.ravel()
-        for g in range(n_groups):
-            out[g] = flat[g * span : (g + 1) * span].sum()
+        partial.ravel()[:] = algo.group_sums(src.ravel(), n,
+                                             global_size[0] // wg, span)
 
     def cost(device: DeviceSpec, global_size, local_size,
              args) -> KernelCost:

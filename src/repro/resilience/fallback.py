@@ -193,6 +193,5 @@ class FallbackPipeline:
             border_ran_on_gpu=False,
             reduction_stage2_on_gpu=False,
             kernel_launches=0,
-            intermediates=dict(cpu_result.intermediates),
             backend=BACKEND_CPU_FALLBACK,
         )

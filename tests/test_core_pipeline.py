@@ -141,14 +141,6 @@ class TestTimeline:
         for prev, cur in zip(events, events[1:]):
             assert cur.start == pytest.approx(prev.end)
 
-    def test_intermediates_kept_on_request(self, image):
-        res = GPUPipeline(OPTIMIZED, keep_intermediates=True).run(image)
-        assert set(res.intermediates) == {"downscaled", "upscaled",
-                                          "p_edge"}
-        assert_allclose(res.intermediates["downscaled"],
-                        algo.downscale(image.plane), atol=1e-9,
-                        context="kept downscaled")
-
 
 class TestPlacementBehaviour:
     def test_small_image_auto_border_on_cpu(self, image):

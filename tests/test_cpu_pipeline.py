@@ -22,7 +22,7 @@ from .conftest import assert_allclose
 
 class TestCPUPipeline:
     def test_matches_naive(self, small_planes, params):
-        pipe = CPUPipeline(params, keep_intermediates=True)
+        pipe = CPUPipeline(params)
         for name, plane in small_planes.items():
             res = pipe.run(Image.from_array(plane))
             ref = naive.sharpen(plane, params)
@@ -39,13 +39,6 @@ class TestCPUPipeline:
         res = CPUPipeline().run(small_planes["natural"])
         u8 = res.final_u8()
         assert u8.dtype == np.uint8
-
-    def test_intermediates_optional(self, small_planes):
-        lean = CPUPipeline().run(small_planes["natural"])
-        assert lean.intermediates == {}
-        rich = CPUPipeline(keep_intermediates=True).run(
-            small_planes["natural"])
-        assert "p_edge" in rich.intermediates
 
     def test_times_attached(self, small_planes):
         res = CPUPipeline().run(small_planes["natural"])

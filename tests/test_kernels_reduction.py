@@ -72,6 +72,22 @@ class TestReductionCorrectness:
             expected = values[g * GROUP_SPAN:(g + 1) * GROUP_SPAN].sum()
             assert partials[g] == pytest.approx(expected, rel=1e-12), g
 
+    @pytest.mark.parametrize("wg,ept", [(REDUCTION_WG, 8), (64, 4),
+                                        (256, 16)])
+    @pytest.mark.parametrize("extra", [0, 137])
+    def test_functional_partials_are_the_slice_sums(self, rng, wg, ept,
+                                                   extra):
+        """Every functional partial has the exact bits of its slice's
+        ``.sum()`` (the per-group loop), at ablation layouts too."""
+        span = wg * ept
+        values = rng.uniform(0, 255, 3 * span + extra)
+        n_groups, gsz, lsz = reduction_layout(values.size, wg=wg, ept=ept)
+        partial = np.empty(n_groups)
+        make_reduction_spec(wg=wg, ept=ept).functional(
+            gsz, lsz, values, partial, values.size)
+        assert partial.tolist() == [values[g * span:(g + 1) * span].sum()
+                                    for g in range(n_groups)]
+
     def test_2d_source_reduces_linearly(self, rng):
         """The pipeline reduces the 2-D pEdge buffer through the flat view."""
         values = rng.uniform(0, 255, (64, 32))
