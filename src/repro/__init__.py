@@ -44,13 +44,12 @@ from .core import (
     BufferPool,
     FrameFailure,
     GPUPipeline,
-    GPUResult,
     OptimizationFlags,
     PlanCache,
     StreamProcessor,
     StreamResult,
 )
-from .cpu import CPUPipeline, CPUResult
+from .cpu import CPUPipeline
 from .errors import (
     BarrierDivergenceError,
     CircuitOpenError,
@@ -102,7 +101,7 @@ from .resilience import (
     Timeout,
 )
 from .simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
-from .types import Image, SharpnessParams
+from .types import FrameResult, Image, SharpnessParams
 
 __version__ = "1.1.0"
 
@@ -119,10 +118,8 @@ __all__ = [
     "StreamProcessor",
     "StreamResult",
     "GPUPipeline",
-    "GPUResult",
     "OptimizationFlags",
     "CPUPipeline",
-    "CPUResult",
     "MetricsRegistry",
     "RunContext",
     # resilience layer
@@ -175,6 +172,7 @@ __all__ = [
     "DeviceSpec",
     "I5_3470",
     "W8000",
+    "FrameResult",
     "Image",
     "SharpnessParams",
     "__version__",

@@ -141,9 +141,8 @@ def _make_luma_runner(pipeline: str, params: SharpnessParams,
 
     def run(plane: np.ndarray) -> np.ndarray:
         res = pipe.run(Image.from_array(plane))
-        backend = getattr(res, "backend", None)
-        if backend and backend != "gpu":
-            print(f"[resilience] frame served by {backend}",
+        if res.backend == "cpu-fallback":
+            print(f"[resilience] frame served by {res.backend}",
                   file=sys.stderr)
         if report:
             label = {"cpu": "CPU baseline", "gpu-base": "base GPU",

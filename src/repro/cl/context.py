@@ -50,7 +50,3 @@ class Context:
         """Allocate a device buffer (allocation itself is free, as in CL)."""
         return Buffer(self, shape, dtype=dtype,
                       transfer_itemsize=transfer_itemsize, name=name)
-
-    def reset_timeline(self) -> None:
-        """Start a fresh timeline (e.g. between pipeline runs)."""
-        self.timeline = Timeline()

@@ -16,10 +16,15 @@ Mirrors the subset of ``clEnqueue*`` the paper's host code uses:
 
 The queue is in-order and non-overlapping, matching the paper's description
 that kernels "have to be executed serially through global synchronization".
+
+The queue-level metrics are written per frame from its timeline by
+:func:`record_commands`, not per command, so a generic frame and a
+replayed one (which never touches a queue) write the same series.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 
 import numpy as np
 
@@ -32,13 +37,45 @@ from .context import MODE_DRYRUN, MODE_EMULATE
 from .kernel import Kernel
 
 
+def record_commands(obs, timeline, transfer_bytes: dict[str, int]) -> None:
+    """Write one frame's queue-level metrics from its simulated timeline.
+
+    ``repro_cl_commands_total{kind}`` counts the timeline's events,
+    ``repro_cl_kernel_seconds{kernel}`` observes each kernel event's
+    ``end - start``, and ``repro_cl_transfer_bytes_total{direction}`` adds
+    ``transfer_bytes`` (the queue's per-direction totals).
+    """
+    if not obs.enabled:
+        return
+    metrics = obs.metrics
+    commands = metrics.counter(
+        "repro_cl_commands_total", "Enqueued commands by kind", ("kind",),
+    )
+    for kind, count in Counter(ev.kind for ev in timeline.events).items():
+        commands.labels(kind=kind).inc(count)
+    kernel_hist = metrics.histogram(
+        "repro_cl_kernel_seconds",
+        "Simulated kernel duration per dispatched kernel (seconds)",
+        ("kernel",),
+    )
+    for ev in timeline.of_kind("kernel"):
+        kernel_hist.labels(
+            kernel=ev.name.removeprefix("kernel:")).observe(ev.duration)
+    transfers = metrics.counter(
+        "repro_cl_transfer_bytes_total",
+        "Host<->device bytes moved over the simulated PCI-E link",
+        ("direction",),
+    )
+    for direction, nbytes in transfer_bytes.items():
+        if nbytes:
+            transfers.labels(direction=direction).inc(nbytes)
+
+
 class CommandQueue:
     """An in-order command queue bound to a context.
 
-    ``obs`` (a :class:`~repro.obs.RunContext`) makes every enqueued command
-    observable: a debug log line per command, ``repro_cl_commands_total`` /
-    ``repro_cl_transfer_bytes_total`` counters, and a per-kernel simulated
-    duration histogram ``repro_cl_kernel_seconds``.
+    ``obs`` (a :class:`~repro.obs.RunContext`) logs a debug line per
+    enqueued command and supplies the fault plan its fault sites consult.
     """
 
     def __init__(self, context, obs=None) -> None:
@@ -47,7 +84,8 @@ class CommandQueue:
         self._released = False
         self._pending_maps: dict[int, tuple[Buffer, np.ndarray, str]] = {}
         #: Bytes moved per direction over this queue's lifetime, kept
-        #: regardless of observability (execution-plan capture reads it).
+        #: regardless of observability (execution-plan capture and
+        #: :func:`record_commands` read it).
         self.transfer_bytes: dict[str, int] = {"h2d": 0, "d2h": 0}
 
     # -- internals -----------------------------------------------------------
@@ -78,10 +116,6 @@ class CommandQueue:
                 stage: str) -> None:
         self.context.timeline.record(name, kind, duration, stage=stage)
         if self.obs.enabled:
-            self.obs.metrics.counter(
-                "repro_cl_commands_total", "Enqueued commands by kind",
-                ("kind",),
-            ).labels(kind=kind).inc()
             self.obs.log.debug(
                 "cl.cmd", name=name, kind=kind, stage=stage,
                 sim_us=duration * 1e6,
@@ -89,12 +123,6 @@ class CommandQueue:
 
     def _note_transfer(self, direction: str, nbytes: int) -> None:
         self.transfer_bytes[direction] += nbytes
-        if self.obs.enabled:
-            self.obs.metrics.counter(
-                "repro_cl_transfer_bytes_total",
-                "Host<->device bytes moved over the simulated PCI-E link",
-                ("direction",),
-            ).labels(direction=direction).inc(nbytes)
 
     def release(self) -> None:
         self._released = True
@@ -122,28 +150,6 @@ class CommandQueue:
         duration = self.context.device.pcie.rw_time(buf.nbytes)
         self._note_transfer("d2h", buf.nbytes)
         self._record(f"read:{buf.name}", "transfer", duration, stage)
-        return host
-
-    def enqueue_read_region_bytes(self, buf: Buffer, nbytes: int,
-                                  *, stage: str = "transfer") -> np.ndarray:
-        """Read only the first ``nbytes`` worth of elements (partial read).
-
-        Used for the reduction's intermediate results: only the stage-1
-        partial sums come back to the host, not the whole buffer.
-        """
-        self._check_alive()
-        self._check_buffer(buf)
-        self._maybe_fault("transfer", f"read-part:{buf.name}")
-        if nbytes < 0 or nbytes > buf.nbytes:
-            raise InvalidBufferError(
-                f"{buf.name}: partial read of {nbytes} bytes from a "
-                f"{buf.nbytes}-byte buffer"
-            )
-        n_elements = nbytes // buf.mem.transfer_itemsize
-        host = buf.mem.read().ravel()[:n_elements].copy()
-        duration = self.context.device.pcie.rw_time(nbytes)
-        self._note_transfer("d2h", nbytes)
-        self._record(f"read-part:{buf.name}", "transfer", duration, stage)
         return host
 
     # -- map/unmap mode -------------------------------------------------------
@@ -264,12 +270,6 @@ class CommandQueue:
         else:
             spec.functional(global_size, local_size,
                             *kernel.functional_args())
-        if self.obs.enabled:
-            self.obs.metrics.histogram(
-                "repro_cl_kernel_seconds",
-                "Simulated kernel duration per dispatched kernel (seconds)",
-                ("kernel",),
-            ).labels(kernel=kernel.name).observe(duration)
         self._record(
             f"kernel:{kernel.name}", "kernel", duration,
             stage or kernel.name,

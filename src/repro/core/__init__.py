@@ -27,7 +27,7 @@ from .heuristics import (
     reduction_stage2_on_gpu,
 )
 from .metrics import GPU_STAGE_ORDER, stage_times_from_timeline
-from .pipeline import GPUPipeline, GPUResult
+from .pipeline import GPUPipeline
 from .plan import ExecutionPlan, PlanCache, PlanKey
 from .portability import check_flags, device_tuning_summary, retune
 from .stream import StreamProcessor, StreamResult
@@ -55,7 +55,6 @@ __all__ = [
     "GPU_STAGE_ORDER",
     "stage_times_from_timeline",
     "GPUPipeline",
-    "GPUResult",
     "overlap_single_run",
     "overlap_stream",
     "serialization_overhead",

@@ -11,22 +11,23 @@ completion order.  The pool never oversubscribes the host: the effective
 thread count is ``min(workers, os.cpu_count())``, because the per-frame
 work is compute-bound and extra threads only buy context switches.
 
-All workers share one :class:`~repro.core.plan.PlanCache` and one
+All workers run one :class:`~repro.core.pipeline.GPUPipeline` (wrapped in
+one :class:`~repro.resilience.FallbackPipeline` under resilience) over one
+:class:`~repro.core.plan.PlanCache` and one
 :class:`~repro.core.bufferpool.BufferPool`, so the first frame of a shape
 pays the generic setup cost once and every later frame replays the captured
-plan through pooled buffers.  Each worker owns its own
-:class:`~repro.core.pipeline.GPUPipeline` (pipelines are cheap; the caches
-are the shared state) over the caller's :class:`~repro.obs.RunContext`:
-logs, metrics and trace spans are all thread-safe, so a traced batch shows
-each frame as a ``batch.frame`` span (a child of ``batch.run``) on the row
-of the worker that served it.
+plan through pooled buffers.  The pipeline keeps no per-frame state, and
+the shared pieces (plan cache, buffer pool, breaker, retry budget) take
+locks; the caller's :class:`~repro.obs.RunContext` sinks are thread-safe
+too, so a traced batch shows each frame as a ``batch.frame`` span (a
+child of ``batch.run``) on the row of the worker that served it.
 
 Throughput telemetry lands in the shared registry:
 
 * ``repro_batch_frames_per_second`` / ``repro_batch_wall_seconds`` /
   ``repro_batch_frames_total`` — wall-clock engine throughput;
 * ``repro_plan_cache_requests_total{outcome}`` — plan hit/miss counters
-  (recorded per frame by the worker pipelines);
+  (recorded per frame by the engine's pipeline);
 * ``repro_bufferpool_in_use`` / ``repro_bufferpool_idle`` — pool occupancy.
 """
 
@@ -47,10 +48,10 @@ from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..resilience.policy import execute
 from ..simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
 from ..simgpu.profiling import Timeline
-from ..types import Image, SharpnessParams
+from ..types import FrameResult, Image, SharpnessParams
 from .bufferpool import BufferPool
 from .config import OPTIMIZED, OptimizationFlags
-from .pipeline import GPUPipeline, GPUResult
+from .pipeline import GPUPipeline
 from .plan import PlanCache
 
 FRAMES_FAILED = "repro_frames_failed_total"
@@ -115,7 +116,7 @@ class FrameStats:
         return self.error is None
 
 
-def frame_stats(index: int, result: GPUResult,
+def frame_stats(index: int, result: FrameResult,
                 attempts: int = 1, frame_id: str = "") -> FrameStats:
     """Decompose one pipeline result into per-frame statistics."""
     by_kind = result.timeline.by_kind()
@@ -127,7 +128,7 @@ def frame_stats(index: int, result: GPUResult,
         transfer_time=transfer,
         device_time=result.total_time - transfer - host,
         host_time=host,
-        backend=getattr(result, "backend", "gpu"),
+        backend=result.backend,
         attempts=attempts,
         frame_id=frame_id or default_frame_id(index),
         timeline=result.timeline,
@@ -256,9 +257,9 @@ class BatchEngine:
         Optional :class:`~repro.obs.RunContext` shared by all workers.
     resilience:
         Optional :class:`~repro.resilience.ResilienceConfig`.  When given,
-        every worker pipeline is wrapped in a
-        :class:`~repro.resilience.FallbackPipeline` sharing one circuit
-        breaker and one retry budget (so consecutive GPU failures
+        the engine's pipeline is wrapped in one
+        :class:`~repro.resilience.FallbackPipeline`, whose circuit breaker
+        and retry budget every worker shares (so consecutive GPU failures
         anywhere trip the whole engine over to the CPU path together),
         simulated worker crashes are re-dispatched under the config's
         retry policy (:func:`~repro.resilience.policy.execute`), and —
@@ -314,10 +315,6 @@ class BatchEngine:
                 f"queue_depth {self.queue_depth} starves the "
                 f"{workers}-worker pool"
             )
-        self.flags = flags
-        self.params = params
-        self.device = device
-        self.cpu = cpu
         self.keep_outputs = keep_outputs
         self.obs = obs or NULL_CONTEXT
         self.timeout = timeout
@@ -325,13 +322,15 @@ class BatchEngine:
         self.resilience = self._effective_resilience(resilience)
         self.plan_cache = PlanCache()
         self.buffer_pool = BufferPool(max_entries=workers + 1, obs=self.obs)
-        self._breaker = None
-        self._budget = None
+        #: The one pipeline every worker runs.
+        self.pipeline = GPUPipeline(
+            flags, params, device, cpu, obs=self.obs, label="batch",
+            plan_cache=self.plan_cache, buffer_pool=self.buffer_pool,
+        )
         if self.resilience is not None:
-            self._breaker = self.resilience.make_breaker(
-                name="batch", obs=self.obs)
-            self._budget = self.resilience.make_budget()
-        self._local = threading.local()
+            from ..resilience.fallback import FallbackPipeline
+            self.pipeline = FallbackPipeline(self.pipeline, self.resilience,
+                                             obs=self.obs)
 
     def _effective_resilience(self, resilience):
         """Fold the engine-level ``timeout`` into the resilience config."""
@@ -350,24 +349,6 @@ class BatchEngine:
         return resilience
 
     # -- workers ---------------------------------------------------------------
-
-    def _pipeline(self) -> GPUPipeline:
-        """Per-thread pipeline sharing the engine's plan cache and pool."""
-        pipe = getattr(self._local, "pipeline", None)
-        if pipe is None:
-            pipe = GPUPipeline(
-                self.flags, self.params, self.device, self.cpu,
-                obs=self.obs, label="batch",
-                plan_cache=self.plan_cache, buffer_pool=self.buffer_pool,
-            )
-            if self.resilience is not None:
-                from ..resilience.fallback import FallbackPipeline
-                pipe = FallbackPipeline(
-                    pipe, self.resilience, breaker=self._breaker,
-                    budget=self._budget, obs=self.obs,
-                )
-            self._local.pipeline = pipe
-        return pipe
 
     def _process(self, index: int, frame, frame_id: str, run_span):
         """One frame on a worker, traced under the run's span."""
@@ -399,7 +380,7 @@ class BatchEngine:
             attempts += 1
             if obs.faults is not None:
                 obs.faults.check("worker", obs, detail=f"frame:{index}")
-            return self._pipeline().run(frame)
+            return self.pipeline.run(frame)
 
         try:
             if obs.faults is not None:

@@ -85,10 +85,6 @@ class BufferPool:
         """``with pool.lease(h, w) as ws:`` checkout/checkin guard."""
         return _Lease(self, h, w)
 
-    def idle_count(self) -> int:
-        with self._lock:
-            return sum(len(s) for s in self._idle.values())
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             idle = sum(len(s) for s in self._idle.values())

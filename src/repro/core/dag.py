@@ -53,7 +53,7 @@ STAGE_DEPS: dict[str, tuple[str, ...]] = {
 
 def _classify(event: Event) -> str:
     if event.stage == "data_init":
-        if event.name.startswith(("read:", "map-read:", "read-part:")):
+        if event.name.startswith(("read:", "map-read:")):
             return READBACK
         return UPLOAD
     return event.stage

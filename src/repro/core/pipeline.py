@@ -4,8 +4,9 @@
 way the paper's host code does: allocate buffers, move the input according
 to the transfer strategy, enqueue the kernel sequence the flag set implies
 (with or without fusion / vectorization / GPU reduction / GPU border), and
-read the final image back.  The result carries the output plane, the full
-simulated event timeline, and the Fig.-13-style stage breakdown.
+read the final image back.  The :class:`~repro.types.FrameResult` carries
+the output plane, the full simulated event timeline, and the
+Fig.-13-style stage breakdown.
 
 The functional execution mode computes real pixel values (all flag
 combinations produce the same image up to float64 round-off — the test
@@ -24,13 +25,11 @@ from __future__ import annotations
 
 import functools
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..cl.buffer import Buffer
 from ..cl.context import Context
-from ..cl.queue import CommandQueue
+from ..cl.queue import CommandQueue, record_commands
 from ..cpu.cost import border_host_time, reduction_host_time
 from ..algo import stages as algo
 from ..kernels.base import round_up
@@ -38,8 +37,7 @@ from ..kernels.reduction import reduction_layout
 from ..kernels.upscale_border import BORDER_GLOBAL, BORDER_LOCAL
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
-from ..simgpu.profiling import Timeline
-from ..types import Image, SharpnessParams, StageTimes
+from ..types import FrameResult, Image, SharpnessParams
 from . import heuristics
 from .bufferpool import BufferPool
 from .config import OPTIMIZED, OptimizationFlags
@@ -58,31 +56,6 @@ def _grid2d(nx: int, ny: int, tile: int = _TILE) -> tuple[tuple[int, int],
     """NDRange covering an ``nx x ny`` output with bounds-checked padding
     (pure in its integer inputs, hence memoized)."""
     return (round_up(nx, tile), round_up(ny, tile)), (tile, tile)
-
-
-@dataclass
-class GPUResult:
-    """Output of one simulated GPU pipeline run."""
-
-    final: np.ndarray
-    times: StageTimes
-    timeline: Timeline
-    edge_mean: float
-    flags: OptimizationFlags
-    border_ran_on_gpu: bool
-    reduction_stage2_on_gpu: bool
-    kernel_launches: int = 0
-    #: Which backend produced the pixels: ``"gpu"`` for the simulated
-    #: device path, ``"cpu-fallback"`` when the resilience layer served
-    #: the frame from :class:`~repro.cpu.CPUPipeline`.
-    backend: str = "gpu"
-
-    @property
-    def total_time(self) -> float:
-        return self.timeline.total
-
-    def final_u8(self) -> np.ndarray:
-        return np.clip(np.rint(self.final), 0, 255).astype(np.uint8)
 
 
 class GPUPipeline:
@@ -175,7 +148,7 @@ class GPUPipeline:
 
     # -- main entry -----------------------------------------------------------
 
-    def run(self, image: Image | np.ndarray) -> GPUResult:
+    def run(self, image: Image | np.ndarray) -> FrameResult:
         if not isinstance(image, Image):
             image = Image.from_array(np.asarray(image))
         obs = self.obs
@@ -195,22 +168,13 @@ class GPUPipeline:
                 if hit:
                     self._count_lookup(obs, "hit")
                     result = self._run_planned(image, plan, obs)
-        obs.observe_stages(self.label, result.times.times,
-                           declare=GPU_STAGE_ORDER)
-        obs.record_run(self.label, result.total_time)
-        if obs.enabled:
-            obs.trace.merge_timeline(
-                result.timeline,
-                label=f"{self.device.name} [{self.label}]",
-            )
-            obs.log.info(
-                "pipeline.complete", pipeline=self.label,
-                h=image.height, w=image.width,
-                simulated_ms=result.total_time * 1e3,
-                kernel_launches=result.kernel_launches,
-                border_on_gpu=result.border_ran_on_gpu,
-                reduction_stage2_on_gpu=result.reduction_stage2_on_gpu,
-            )
+        obs.record_frame(
+            self.label, result, GPU_STAGE_ORDER, self.device.name,
+            h=image.height, w=image.width,
+            kernel_launches=result.kernel_launches,
+            border_on_gpu=result.border_ran_on_gpu,
+            reduction_stage2_on_gpu=result.reduction_stage2_on_gpu,
+        )
         return result
 
     # -- execution-plan caching ------------------------------------------------
@@ -228,7 +192,7 @@ class GPUPipeline:
             device=self.device, cpu=self.cpu, mode=self.mode,
         )
 
-    def _capture_plan(self, key: PlanKey, result: GPUResult,
+    def _capture_plan(self, key: PlanKey, result: FrameResult,
                       queue: CommandQueue) -> ExecutionPlan:
         plan = ExecutionPlan(key, result.timeline, queue.transfer_bytes)
         if self.obs.enabled:
@@ -240,14 +204,14 @@ class GPUPipeline:
         return plan
 
     def _run_planned(self, image: Image, plan: ExecutionPlan,
-                     obs) -> GPUResult:
+                     obs) -> FrameResult:
         """Replay a cached plan: pooled buffers, zero per-frame setup.
 
         Pixels come from the plan's specialized executor (bit-identical to
         the generic path); the timeline/stage times are the capture's
         immutable template, valid because simulated costs never depend on
-        pixel values.  Queue-level metrics are replayed from the capture;
-        per-stage host spans are not re-emitted for cached frames.
+        pixel values, and the queue-level metrics are written from it just
+        as the generic run writes them from its own.
         """
         faults = obs.faults
         if faults is not None:
@@ -258,14 +222,11 @@ class GPUPipeline:
             faults.check("transfer", obs, detail="plan-replay")
             faults.check("kernel", obs, detail="plan-replay")
         pool = self.buffer_pool
-        ws = pool.checkout(image.height, image.width)
-        try:
+        with pool.lease(image.height, image.width) as ws:
             final, edge_mean = plan.execute(image.plane, self.params, ws,
                                             trace=obs.trace)
-        finally:
-            pool.checkin(ws)
+        record_commands(obs, plan.timeline, plan.transfer_bytes)
         if obs.enabled:
-            plan.replay_observability(obs)
             stats = pool.stats()
             obs.metrics.gauge(
                 "repro_bufferpool_in_use",
@@ -275,7 +236,7 @@ class GPUPipeline:
                 "repro_bufferpool_idle",
                 "Idle workspaces parked in the buffer pool",
             ).set(stats["idle"])
-        return GPUResult(
+        return FrameResult(
             final=final,
             times=plan.times,
             timeline=plan.timeline,
@@ -287,7 +248,7 @@ class GPUPipeline:
         )
 
     def _run_instrumented(self, image: Image,
-                          obs) -> tuple[GPUResult, CommandQueue]:
+                          obs) -> tuple[FrameResult, CommandQueue]:
         flags = self.flags
         plane = image.plane
         h, w = plane.shape
@@ -417,7 +378,8 @@ class GPUPipeline:
         with obs.trace.span("gpu.readback"):
             final = planner.download(final_buf, stage="data_init")
 
-        result = GPUResult(
+        record_commands(obs, ctx.timeline, queue.transfer_bytes)
+        result = FrameResult(
             final=final,
             times=stage_times_from_timeline(ctx.timeline),
             timeline=ctx.timeline,

@@ -12,8 +12,9 @@ replays it for every later frame:
 
 * the *timeline* is shared as an immutable template — simulated costs are
   content-independent, so frame N's timeline is bit-identical to frame
-  1's; the stage times, kernel launches and the queue metrics replayed
-  per frame are read off it;
+  1's; the stage times and kernel launches are read off it once, and
+  each replayed frame writes its queue metrics from it
+  (:func:`repro.cl.queue.record_commands`);
 * the *decisions* (border placement, reduction level chain) are derived
   once from the key by the functions the generic run calls;
 * the *pixels* come from the strip executor of :mod:`repro.algo.strips`
@@ -33,7 +34,7 @@ hit/miss counters surface through the metrics registry as
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,44 +116,6 @@ class ExecutionPlan:
                                                    key.width)
         self.reduction_levels, self.stage2_gpu = _reduction_levels(
             key.flags, key.height * key.width)
-
-    # -- observability replay -------------------------------------------------
-
-    def replay_observability(self, obs) -> None:
-        """Re-emit the reference run's queue-level metrics for one frame.
-
-        Cached frames never touch a :class:`~repro.cl.queue.CommandQueue`,
-        so the per-command counters/histograms the queue would have recorded
-        are replayed from the timeline instead.  Counts match the uncached
-        run exactly; a kernel's duration is its event's ``end - start``,
-        which can differ from the queue's value in the last bit.
-        Per-command debug *log lines* are not replayed.
-        """
-        if not obs.enabled:
-            return
-        commands = obs.metrics.counter(
-            "repro_cl_commands_total", "Enqueued commands by kind",
-            ("kind",),
-        )
-        kernel_hist = obs.metrics.histogram(
-            "repro_cl_kernel_seconds",
-            "Simulated kernel duration per dispatched kernel (seconds)",
-            ("kernel",),
-        )
-        for kind, count in Counter(
-                ev.kind for ev in self.timeline.events).items():
-            commands.labels(kind=kind).inc(count)
-        for ev in self.timeline.of_kind("kernel"):
-            kernel_hist.labels(
-                kernel=ev.name.removeprefix("kernel:")).observe(ev.duration)
-        transfers = obs.metrics.counter(
-            "repro_cl_transfer_bytes_total",
-            "Host<->device bytes moved over the simulated PCI-E link",
-            ("direction",),
-        )
-        for direction, nbytes in self.transfer_bytes.items():
-            if nbytes:
-                transfers.labels(direction=direction).inc(nbytes)
 
     # -- specialized frame executor -------------------------------------------
 

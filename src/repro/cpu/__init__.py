@@ -7,6 +7,6 @@ is the paper's "well-optimized CPU version" baseline, chaining the
 Intel Core i5-3470 of Table I.
 """
 
-from .pipeline import CPUPipeline, CPUResult
+from .pipeline import CPUPipeline
 
-__all__ = ["CPUPipeline", "CPUResult"]
+__all__ = ["CPUPipeline"]

@@ -4,36 +4,20 @@ Runs the canonical vectorized stages through the strip executor
 (:mod:`repro.algo.strips`, the schedule plan replay runs too) and attaches
 the i5-3470 cost model's per-stage simulated times, so experiments can
 report both the baseline's output image and its Fig.-13(a)-style time
-breakdown.
+breakdown.  The frame's timeline is the cost model's stages as one serial
+chain of ``host`` events.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..algo import strips
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..simgpu.device import CPUSpec, I5_3470
-from ..types import Image, SharpnessParams, StageTimes
+from ..simgpu.profiling import Timeline
+from ..types import FrameResult, Image, SharpnessParams
 from . import cost
-
-
-@dataclass
-class CPUResult:
-    """Output of one CPU pipeline run."""
-
-    final: np.ndarray
-    times: StageTimes
-    edge_mean: float
-
-    @property
-    def total_time(self) -> float:
-        return self.times.total
-
-    def final_u8(self) -> np.ndarray:
-        return np.clip(np.rint(self.final), 0, 255).astype(np.uint8)
 
 
 class CPUPipeline:
@@ -48,9 +32,10 @@ class CPUPipeline:
         i5-3470).
     obs:
         Optional :class:`~repro.obs.RunContext`.  When given, the run and
-        each executor phase run inside host spans and the cost model's
+        each executor phase run inside host spans, the cost model's
         per-stage simulated times land in the ``repro_stage_seconds``
-        histogram under ``pipeline=<label>``.
+        histogram under ``pipeline=<label>``, and the cost-model timeline
+        is merged into the trace.
     label:
         Pipeline label used in metrics and logs (defaults to ``"cpu"``).
     """
@@ -64,7 +49,7 @@ class CPUPipeline:
         self.obs = obs or NULL_CONTEXT
         self.label = label
 
-    def run(self, image: Image | np.ndarray) -> CPUResult:
+    def run(self, image: Image | np.ndarray) -> FrameResult:
         if not isinstance(image, Image):
             image = Image.from_array(np.asarray(image))
         src = image.plane
@@ -76,13 +61,11 @@ class CPUPipeline:
             final, edge_mean = strips.run(
                 src, self.params, strips.Workspace(h, w), (), obs.trace)
 
-        obs.observe_stages(self.label, times.times,
-                           declare=cost.CPU_STAGE_ORDER)
-        obs.record_run(self.label, times.total)
-        if obs.enabled:
-            obs.log.info(
-                "pipeline.complete", pipeline=self.label, h=h, w=w,
-                simulated_ms=times.total * 1e3,
-            )
-
-        return CPUResult(final=final, times=times, edge_mean=edge_mean)
+        timeline = Timeline()
+        for stage, seconds in times.times.items():
+            timeline.record(stage, "host", seconds, stage=stage)
+        result = FrameResult(final=final, times=times, timeline=timeline,
+                             edge_mean=edge_mean, backend="cpu")
+        obs.record_frame(self.label, result, cost.CPU_STAGE_ORDER,
+                         self.cpu.name, h=h, w=w)
+        return result

@@ -7,7 +7,7 @@ fractions et al.) are computed *from the registry* rather than from ad-hoc
 dicts, so what an experiment prints is exactly what a scrape would see.
 
 Mutations are thread-safe (a single process-wide lock): the batch engine's
-worker pipelines record into one shared registry concurrently.
+workers record into one shared registry concurrently.
 
 Dependency-free by design: exporters emit the Prometheus text exposition
 format (``registry.to_prometheus_text()`` / ``write_prometheus(path)``) and

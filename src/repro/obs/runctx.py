@@ -10,6 +10,9 @@ sinks, plus the stage-metric conventions shared by every pipeline:
 * ``repro_pipeline_runs_total{pipeline}`` / ``repro_pipeline_simulated_
   seconds{pipeline}`` — run counts and end-to-end simulated times.
 
+:meth:`RunContext.record_frame` is the one place a finished frame of any
+backend is recorded into all three sinks.
+
 ``RunContext.disabled()`` (the module's :data:`NULL_CONTEXT`) swaps every
 sink for a no-op implementation, so instrumented code paths cost almost
 nothing when the caller did not ask for observability — the
@@ -121,6 +124,25 @@ class RunContext:
             PIPELINE_SECONDS, "End-to-end simulated pipeline time (seconds)",
             ("pipeline",), buckets=DURATION_BUCKETS,
         ).labels(pipeline=pipeline).observe(simulated_seconds)
+
+    def record_frame(self, pipeline: str, result, declare: Iterable[str],
+                     device: str, **fields: Any) -> None:
+        """Record one finished frame of any backend.
+
+        ``result`` is a :class:`~repro.types.FrameResult`: its stage times
+        feed :meth:`observe_stages` (``declare`` as there), its total
+        feeds :meth:`record_run`, its timeline is merged into the trace as
+        the process row ``"<device> [<pipeline>]"``, and a
+        ``pipeline.complete`` log line carries ``fields``.
+        """
+        if not self.enabled:
+            return
+        self.observe_stages(pipeline, result.times.times, declare=declare)
+        self.record_run(pipeline, result.total_time)
+        self.trace.merge_timeline(result.timeline,
+                                  label=f"{device} [{pipeline}]")
+        self.log.info("pipeline.complete", pipeline=pipeline, **fields,
+                      simulated_ms=result.total_time * 1e3)
 
     def stage_fractions(self, pipeline: str) -> dict[str, float]:
         """Per-stage share of total time, computed from the registry.

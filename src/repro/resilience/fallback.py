@@ -18,9 +18,9 @@ fallback target.  :class:`FallbackPipeline` wraps a
    :class:`~repro.cpu.CPUPipeline` — the :mod:`repro.algo.stages`
    functions — and the result is flagged ``backend="cpu-fallback"``.
 
-The wrapper returns the same :class:`~repro.core.pipeline.GPUResult` shape
-either way (fallback results carry a host-only timeline built from the CPU
-cost model), so :class:`~repro.core.stream.StreamProcessor` and
+Both backends return a :class:`~repro.types.FrameResult` (a fallback
+frame carries the CPU pipeline's host-only cost-model timeline), so
+:class:`~repro.core.stream.StreamProcessor` and
 :class:`~repro.core.batch.BatchEngine` consume it unchanged.
 """
 
@@ -32,11 +32,10 @@ from dataclasses import dataclass, field
 from ..cpu.pipeline import CPUPipeline
 from ..errors import CircuitOpenError, ReproError
 from ..obs.runctx import NULL_CONTEXT
-from ..simgpu.profiling import Timeline
 from .breaker import CircuitBreaker
 from .policy import RetryBudget, RetryPolicy, Timeout, execute
 
-#: Backend tags stamped on results (``GPUResult.backend``).
+#: Backend tags stamped on results (``FrameResult.backend``).
 BACKEND_GPU = "gpu"
 BACKEND_CPU_FALLBACK = "cpu-fallback"
 
@@ -87,9 +86,6 @@ class FallbackPipeline:
     cpu:
         The understudy; built from the GPU pipeline's params/cpu spec when
         omitted.
-    breaker / budget:
-        Share a breaker / retry budget across wrappers (the batch engine
-        passes one of each so its workers trip and recover together).
     obs:
         :class:`~repro.obs.RunContext`; defaults to the GPU pipeline's.
     sleep / clock:
@@ -98,8 +94,6 @@ class FallbackPipeline:
 
     def __init__(self, gpu, config: ResilienceConfig | None = None, *,
                  cpu: CPUPipeline | None = None,
-                 breaker: CircuitBreaker | None = None,
-                 budget: RetryBudget | None = None,
                  obs=None, sleep=time.sleep,
                  clock=time.monotonic) -> None:
         self.gpu = gpu
@@ -108,23 +102,20 @@ class FallbackPipeline:
             gpu, "obs", NULL_CONTEXT)
         self.cpu = cpu if cpu is not None else CPUPipeline(
             gpu.params, gpu.cpu, obs=self.obs, label="cpu-fallback")
-        self.breaker = breaker if breaker is not None else (
-            self.config.make_breaker(name=getattr(gpu, "label", "gpu"),
-                                     obs=self.obs))
-        self.budget = budget if budget is not None else (
-            self.config.make_budget())
+        self.breaker = self.config.make_breaker(
+            name=getattr(gpu, "label", "gpu"), obs=self.obs)
+        self.budget = self.config.make_budget()
         self.timeout = self.config.make_timeout()
         self.sleep = sleep
         self.clock = clock
         # Mirrored for callers that treat this as a GPUPipeline drop-in.
-        self.flags = getattr(gpu, "flags", None)
         self.params = gpu.params
         self.label = getattr(gpu, "label", "gpu")
 
     # -- main entry -----------------------------------------------------------
 
     def run(self, image):
-        """Sharpen one frame resiliently; always a ``GPUResult`` shape."""
+        """Sharpen one frame resiliently into a ``FrameResult``."""
         obs = self.obs
         if not self.breaker.allow():
             return self._degrade(image, reason="breaker-open")
@@ -149,7 +140,6 @@ class FallbackPipeline:
             self.breaker.record_failure()
             raise
         self.breaker.record_success()
-        result.backend = BACKEND_GPU
         return result
 
     # -- degradation ----------------------------------------------------------
@@ -174,24 +164,6 @@ class FallbackPipeline:
             )
         with obs.trace.span("fallback.run", pipeline=self.label,
                             reason=reason):
-            cpu_result = self.cpu.run(image)
-        return self._as_gpu_result(cpu_result)
-
-    def _as_gpu_result(self, cpu_result):
-        """Dress a CPUResult in GPUResult clothes (host-only timeline)."""
-        from ..core.pipeline import GPUResult
-
-        timeline = Timeline()
-        for stage, seconds in cpu_result.times.times.items():
-            timeline.record(stage, "host", seconds, stage=stage)
-        return GPUResult(
-            final=cpu_result.final,
-            times=cpu_result.times,
-            timeline=timeline,
-            edge_mean=cpu_result.edge_mean,
-            flags=self.flags,
-            border_ran_on_gpu=False,
-            reduction_stage2_on_gpu=False,
-            kernel_launches=0,
-            backend=BACKEND_CPU_FALLBACK,
-        )
+            result = self.cpu.run(image)
+        result.backend = BACKEND_CPU_FALLBACK
+        return result

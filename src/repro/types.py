@@ -3,19 +3,25 @@
 The paper operates on the *brightness plane* of an image: a 2-D matrix of
 8-bit pixels that is promoted to floating point for the arithmetic stages.
 :class:`Image` wraps such a plane with the validation rules the sharpness
-pipeline requires (sides divisible by 4, minimum size), and
+pipeline requires (sides divisible by 4, minimum size),
 :class:`SharpnessParams` carries the user-defined tuning parameters the paper
 mentions (sharpening gain/gamma for the brightness-strength step and the
-overshoot-control tuning factor).
+overshoot-control tuning factor), and :class:`FrameResult` is what every
+pipeline returns for one sharpened frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from .core.config import OptimizationFlags
+    from .simgpu.profiling import Timeline
 
 #: dtype used for all intermediate floating-point arithmetic.  The paper's
 #: OpenCL kernels compute in ``float``; float64 here keeps the CPU golden
@@ -190,3 +196,35 @@ class StageTimes:
         for k, v in self.times.items():
             out.add(mapping.get(k, k), v)
         return out
+
+
+@dataclass
+class FrameResult:
+    """One sharpened frame, whichever backend produced it.
+
+    ``times`` is the Fig.-13-style stage breakdown in the backend's own
+    vocabulary (GPU stages, or the CPU cost model's); ``timeline`` is the
+    frame's simulated event timeline, a host-only chain of cost-model
+    events for a CPU frame.  The GPU-only fields keep their defaults on a
+    CPU frame.
+    """
+
+    final: np.ndarray
+    times: StageTimes
+    timeline: Timeline
+    edge_mean: float
+    flags: OptimizationFlags | None = None
+    border_ran_on_gpu: bool = False
+    reduction_stage2_on_gpu: bool = False
+    kernel_launches: int = 0
+    #: Who produced the pixels: ``"gpu"`` for the simulated device path,
+    #: ``"cpu"`` for :class:`~repro.cpu.CPUPipeline`, ``"cpu-fallback"``
+    #: when the resilience layer served the frame from the CPU pipeline.
+    backend: str = "gpu"
+
+    @property
+    def total_time(self) -> float:
+        return self.timeline.total
+
+    def final_u8(self) -> np.ndarray:
+        return np.clip(np.rint(self.final), 0, 255).astype(PIXEL)

@@ -81,7 +81,7 @@ class TestPermanentDegradation:
         assert result.n_failed == 0
         assert [f.index for f in result.frames] == list(range(10))
         assert result.backends() == {"cpu-fallback": 10}
-        assert engine._breaker.state == OPEN
+        assert engine.pipeline.breaker.state == OPEN
         cpu = CPUPipeline()
         for out, frame in zip(result.outputs, frames10):
             assert np.array_equal(out, cpu.run(frame).final)

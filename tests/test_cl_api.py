@@ -46,12 +46,6 @@ class TestContext:
         with pytest.raises(ConfigError):
             Context(mode="turbo")
 
-    def test_reset_timeline(self, ctx, queue):
-        queue.finish()
-        assert ctx.timeline.total > 0
-        ctx.reset_timeline()
-        assert ctx.timeline.total == 0
-
 
 class TestTransfers:
     def test_write_read_roundtrip(self, ctx, queue, rng):
@@ -70,17 +64,6 @@ class TestTransfers:
         queue.enqueue_write_buffer(large, np.zeros((64, 64)))
         t2 = ctx.timeline.events[-1].duration
         assert t2 > t1
-
-    def test_partial_read(self, ctx, queue):
-        buf = ctx.create_buffer((16,), transfer_itemsize=4)
-        queue.enqueue_write_buffer(buf, np.arange(16.0))
-        out = queue.enqueue_read_region_bytes(buf, 16)  # 4 elements
-        assert np.array_equal(out, [0, 1, 2, 3])
-
-    def test_partial_read_bounds(self, ctx, queue):
-        buf = ctx.create_buffer((4,), transfer_itemsize=4)
-        with pytest.raises(InvalidBufferError):
-            queue.enqueue_read_region_bytes(buf, 17)
 
     def test_foreign_context_rejected(self, queue):
         other = Context()

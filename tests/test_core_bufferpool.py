@@ -92,7 +92,7 @@ class TestBufferPool:
             assert isinstance(ws, Workspace)
             assert pool.stats()["in_use"] == 1
         assert pool.stats()["in_use"] == 0
-        assert pool.idle_count() == 1
+        assert pool.stats()["idle"] == 1
 
     def test_lease_checks_in_on_error(self):
         pool = BufferPool()

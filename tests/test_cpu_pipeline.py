@@ -1,5 +1,7 @@
 """The CPU baseline pipeline and its cost model (Fig. 13a shapes)."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from repro.cpu.cost import (
 )
 from repro.cpu import naive
 from repro.errors import ValidationError
-from repro.types import Image, SharpnessParams
+from repro.obs import RunContext
+from repro.types import FrameResult, Image, SharpnessParams
 
 from .conftest import assert_allclose
 
@@ -43,6 +46,52 @@ class TestCPUPipeline:
     def test_times_attached(self, small_planes):
         res = CPUPipeline().run(small_planes["natural"])
         assert res.total_time == pytest.approx(total_time(32, 32))
+
+
+class TestFrameResult:
+    """A CPU frame is a ``FrameResult`` carrying the cost model's times
+    and a host-only cost-model timeline."""
+
+    def test_backend_and_gpu_only_defaults(self, small_planes):
+        res = CPUPipeline().run(small_planes["natural"])
+        assert isinstance(res, FrameResult)
+        assert res.backend == "cpu"
+        assert res.kernel_launches == 0
+        assert res.flags is None
+        assert not res.border_ran_on_gpu
+        assert not res.reduction_stage2_on_gpu
+
+    def test_times_are_the_cost_model_in_cpu_vocabulary(self, small_planes):
+        res = CPUPipeline().run(small_planes["natural"])
+        assert res.times.times == stage_times(32, 32).times
+        assert tuple(res.times.times) == CPU_STAGE_ORDER
+        # Bit for bit: the timeline chains the stages in the order
+        # ``StageTimes.total`` sums them.
+        assert res.total_time == stage_times(32, 32).total
+
+    def test_timeline_is_one_host_event_per_stage(self, small_planes):
+        res = CPUPipeline().run(small_planes["natural"])
+        events = res.timeline.events
+        assert [e.stage for e in events] == list(CPU_STAGE_ORDER)
+        assert [e.kind for e in events] == ["host"] * len(CPU_STAGE_ORDER)
+
+    def test_obs_records_the_frame(self, small_planes):
+        stream = io.StringIO()
+        obs = RunContext.create(log_level="info", log_stream=stream)
+        pipe = CPUPipeline(obs=obs)
+        pipe.run(small_planes["natural"])
+        events = obs.trace.chrome_trace()["traceEvents"]
+        rows = {e["pid"]: e["args"]["name"] for e in events
+                if e["name"] == "process_name"}
+        (pid,) = [p for p, name in rows.items()
+                  if name == f"{pipe.cpu.name} [cpu]"]
+        merged = [e["name"] for e in events
+                  if e["pid"] == pid and e["ph"] == "X"]
+        assert merged == list(CPU_STAGE_ORDER)
+        assert "event=pipeline.complete" in stream.getvalue()
+        text = obs.metrics.to_prometheus_text()
+        assert 'repro_pipeline_runs_total{pipeline="cpu"} 1' in text
+        assert "repro_cl_" not in text
 
 
 class TestCostModel:

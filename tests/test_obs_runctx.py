@@ -147,6 +147,30 @@ class TestCPUPipelineIntegration:
         assert (plain == observed).all()
 
 
+class TestOneRecordPerFrame:
+    def test_every_backend_records_each_frame_once(self, monkeypatch):
+        from repro import FallbackPipeline, FaultPlan
+
+        labels = []
+        real = RunContext.record_frame
+
+        def counting(self, pipeline, *args, **kwargs):
+            labels.append(pipeline)
+            return real(self, pipeline, *args, **kwargs)
+
+        monkeypatch.setattr(RunContext, "record_frame", counting)
+        img = images.natural_like(64, 64, seed=0)
+        obs = make_obs()
+        gpu = GPUPipeline(OPTIMIZED, obs=obs)
+        gpu.run(img)  # generic run, captures the plan
+        gpu.run(img)  # replay
+        CPUPipeline(obs=obs).run(img)
+        failing = make_obs(faults=FaultPlan.parse(
+            "kernel:rate=1.0,kind=permanent"))
+        FallbackPipeline(GPUPipeline(OPTIMIZED, obs=failing)).run(img)
+        assert labels == ["gpu", "gpu", "cpu", "cpu-fallback"]
+
+
 class TestFig13FromRegistry:
     def test_fractions_sum_to_one(self):
         for version in fig13_fractions.VERSIONS:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import GPUPipeline, OPTIMIZED
 from repro.cpu import CPUPipeline
+from repro.cpu.cost import stage_times
 from repro.errors import CircuitOpenError, TransferFault
 from repro.obs import RunContext
 from repro.resilience import (
@@ -74,6 +75,10 @@ class TestDegradation:
         # host-only timeline: no device or transfer events
         assert set(e.kind for e in result.timeline.events) == {"host"}
         assert result.kernel_launches == 0
+        # the CPU pipeline's cost-model total, bit for bit
+        assert cpu.backend == "cpu"
+        assert result.total_time == cpu.total_time
+        assert result.total_time == stage_times(*frame.shape).total
 
     def test_breaker_trips_then_routes_without_touching_gpu(self, frame):
         plan = FaultPlan.parse("transfer:rate=1.0,kind=permanent")
