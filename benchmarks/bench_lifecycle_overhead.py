@@ -9,52 +9,43 @@ Runs the same frame sequence two ways:
   fsync'd write-ahead journal per frame, checkpoint manifest rotation,
   watchdog thread, health snapshots.
 
-Asserts the durable path stays within :data:`MAX_OVERHEAD` of the
-baseline (the journaling budget from the issue: < 5% at 512x512 x 64
-frames) and that its outputs are **bit-identical** to the bare engine's.
-Results land in ``benchmarks/results/BENCH_lifecycle_overhead.json``.
+Asserts that the median block ratio of :data:`PAIRS` alternating
+baseline/durable times stays within :data:`MAX_OVERHEAD` (the journaling
+budget: < 5% at 512x512 x 64 frames) and that the durable outputs are
+**bit-identical** to the bare engine's.  Results land in
+``benchmarks/results/BENCH_lifecycle_overhead.json``.
 
 Run with ``pytest benchmarks/bench_lifecycle_overhead.py`` or directly
-with ``PYTHONPATH=src python benchmarks/bench_lifecycle_overhead.py
-[--smoke]``; ``--smoke`` / ``REPRO_BENCH_SMOKE=1`` shrinks the workload
-for CI and relaxes the floor (fixed per-frame costs — fsync latency,
-manifest rotation — weigh proportionally more on tiny frames).
+with ``PYTHONPATH=src python benchmarks/bench_lifecycle_overhead.py``;
+``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI and relaxes the
+ceiling (fixed per-frame costs — fsync latency, manifest rotation —
+weigh proportionally more on tiny frames).
 """
 
 from __future__ import annotations
 
-import json
-import os
+import itertools
 import pathlib
 import shutil
+import statistics
 import tempfile
-import time
 
+import gate
 from repro import BatchEngine, OPTIMIZED
 from repro.lifecycle import BatchJob, LifecycleConfig
 from repro.util import images
-from repro.util.io import atomic_write_text, read_pgm, write_pgm
+from repro.util.io import read_pgm, write_pgm
 
 #: Full benchmark: the acceptance configuration from the issue.
 SIZE, N_FRAMES, WORKERS, MAX_OVERHEAD = 512, 64, 4, 0.05
 #: CI smoke configuration: tiny frames, looser ceiling.
 SMOKE_SIZE, SMOKE_FRAMES, SMOKE_MAX_OVERHEAD = 256, 16, 0.30
-
-REPS = 7  # interleaved baseline/durable pairs (see measure())
-
-
-def _smoke_requested() -> bool:
-    return bool(os.environ.get("REPRO_BENCH_SMOKE"))
+#: Timed baseline/durable pairs; the median block ratio is gated.
+PAIRS = 8
 
 
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
-def measure(*, smoke: bool | None = None) -> dict:
-    smoke = _smoke_requested() if smoke is None else smoke
+def measure() -> dict:
+    smoke = gate.smoke()
     size = SMOKE_SIZE if smoke else SIZE
     n_frames = SMOKE_FRAMES if smoke else N_FRAMES
     max_overhead = SMOKE_MAX_OVERHEAD if smoke else MAX_OVERHEAD
@@ -67,10 +58,12 @@ def measure(*, smoke: bool | None = None) -> dict:
                 images.video_sequence(size, size, n_frames, seed=7)):
             write_pgm(frames_dir / f"f{i:04d}.pgm", frame)
         inputs = sorted(frames_dir.glob("*.pgm"))
+        base_reps, durable_reps = itertools.count(), itertools.count()
 
         # Baseline: bare engine + per-frame output writes, fresh out dir
-        # per rep so filesystem state matches the durable side.
-        def run_baseline(out_dir: pathlib.Path) -> None:
+        # per run so filesystem state matches the durable side.
+        def run_baseline() -> None:
+            out_dir = work / f"base-out-{next(base_reps)}"
             out_dir.mkdir()
             engine = BatchEngine(OPTIMIZED, workers=WORKERS,
                                  keep_outputs=True)
@@ -80,9 +73,10 @@ def measure(*, smoke: bool | None = None) -> dict:
                 write_pgm(out_dir / path.name, plane)
 
         # Durable: full lifecycle — fsync'd journal, manifest rotations,
-        # watchdog ticking, health snapshots.  Fresh job dir per rep (a
+        # watchdog ticking, health snapshots.  Fresh job dir per run (a
         # resumed no-op run would measure nothing).
-        def run_durable(rep: int) -> None:
+        def run_durable() -> None:
+            rep = next(durable_reps)
             job = BatchJob(
                 inputs=inputs,
                 output_dir=work / f"job-out-{rep}",
@@ -93,31 +87,7 @@ def measure(*, smoke: bool | None = None) -> dict:
             outcome = job.run()
             assert outcome.exit_code == 0, outcome
 
-        # Shared-host timing noise here is bursty and large (±8% rep to
-        # rep) while the overhead being measured is small (~2-3%), so no
-        # single summary is stable.  Run the two sides as adjacent pairs
-        # and compute two independent estimators:
-        #
-        # * the median of the paired ratios (robust to drift between
-        #   pairs, fooled when one side of a pair lands on a CPU burst);
-        # * the ratio of the per-side minima (robust to bursts once both
-        #   sides have sampled the fast regime, fooled by a single
-        #   lucky outlier).
-        #
-        # A *real* journaling regression inflates every durable run and
-        # therefore both estimators; noise rarely moves both the same
-        # way.  Gate on the smaller of the two.
-        baseline_s, durable_s = [], []
-        for rep in range(REPS):
-            out_dir = work / f"base-out-{rep}"
-            baseline_s.append(_timed(lambda: run_baseline(out_dir)))
-            durable_s.append(_timed(lambda: run_durable(rep)))
-        ratios = sorted(d / b for b, d in zip(baseline_s, durable_s))
-        median_ratio = ratios[len(ratios) // 2]
-        baseline_best = min(baseline_s)
-        durable_best = min(durable_s)
-        best_ratio = durable_best / baseline_best
-        ratio = min(median_ratio, best_ratio)
+        pairs = gate.paired(run_baseline, run_durable, PAIRS)
 
         identical = all(
             (work / "base-out-0" / p.name).read_bytes()
@@ -129,28 +99,29 @@ def measure(*, smoke: bool | None = None) -> dict:
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    overhead = ratio - 1.0
+    ratio = pairs.ratios()
+    baseline_s = statistics.median(pairs.base_s)
+    durable_s = statistics.median(pairs.cand_s)
     return {
         "benchmark": "lifecycle_overhead",
         "smoke": smoke,
         "size": size,
         "frames": n_frames,
         "workers": WORKERS,
-        "baseline_s": baseline_best,
-        "durable_s": durable_best,
-        "paired_ratios": ratios,
-        "median_ratio": median_ratio,
-        "best_ratio": best_ratio,
-        "baseline_fps": n_frames / baseline_best,
-        "durable_fps": n_frames / durable_best,
-        "overhead": overhead,
+        "pairs": PAIRS,
+        "baseline_s": baseline_s,
+        "durable_s": durable_s,
+        "ratio": ratio,
+        "baseline_fps": n_frames / baseline_s,
+        "durable_fps": n_frames / durable_s,
+        "overhead": ratio["median"] - 1.0,
         "max_overhead": max_overhead,
         "bit_identical": identical,
         "journal_records": journal_lines,
     }
 
 
-def _check(result: dict) -> None:
+def check(result: dict) -> None:
     assert result["bit_identical"], (
         "durable-job outputs diverged from the bare engine's"
     )
@@ -166,36 +137,21 @@ def _check(result: dict) -> None:
     )
 
 
-def _report(result: dict) -> str:
+def report(result: dict) -> str:
     return (
         f"lifecycle overhead ({result['size']}x{result['size']} x "
         f"{result['frames']} frames, {result['workers']} workers): "
         f"baseline {result['baseline_fps']:.1f} fps -> durable "
         f"{result['durable_fps']:.1f} fps "
         f"({100 * result['overhead']:+.1f}% vs "
-        f"{100 * result['max_overhead']:.0f}% budget)"
+        f"{100 * result['max_overhead']:.0f}% budget, median of "
+        f"{result['pairs'] // 2} two-pair blocks)"
     )
 
 
-def test_lifecycle_overhead(results_dir):
-    result = measure()
-    atomic_write_text(
-        results_dir / "BENCH_lifecycle_overhead.json",
-        json.dumps(result, indent=1) + "\n",
-    )
-    print("\n" + _report(result))
-    _check(result)
+def test_lifecycle_overhead():
+    gate.run("lifecycle_overhead", measure, check, report)
 
 
 if __name__ == "__main__":
-    import sys
-
-    smoke = "--smoke" in sys.argv or _smoke_requested()
-    out = pathlib.Path(__file__).parent / "results"
-    out.mkdir(exist_ok=True)
-    result = measure(smoke=smoke)
-    atomic_write_text(out / "BENCH_lifecycle_overhead.json",
-                      json.dumps(result, indent=1) + "\n")
-    print(json.dumps(result, indent=1))
-    _check(result)
-    print(_report(result))
+    gate.run("lifecycle_overhead", measure, check, report)

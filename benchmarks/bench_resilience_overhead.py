@@ -4,9 +4,9 @@ The resilience layer must be free when nothing fails: with no fault plan
 armed, the per-frame cost is one ``breaker.allow()`` (a lock acquire), the
 ``execute()`` wrapper, and a handful of ``getattr`` checks at the fault
 sites.  This benchmark streams a batch through :class:`~repro.BatchEngine`
-twice — bare, then wrapped in the full retry + breaker + fallback stack
-with **no faults injected** — and asserts the wall-clock overhead of the
-disabled path stays under 5%.  Numbers land in
+bare and wrapped in the full retry + breaker + fallback stack with **no
+faults injected**, in :data:`PAIRS` alternating pairs, and asserts the
+median block overhead of the disabled path stays under 5%.  Numbers land in
 ``benchmarks/results/BENCH_resilience.json``.
 
 Run with ``pytest benchmarks/bench_resilience_overhead.py`` or directly
@@ -16,74 +16,50 @@ with ``PYTHONPATH=src python benchmarks/bench_resilience_overhead.py``;
 
 from __future__ import annotations
 
-import json
-import os
-import time
+import statistics
 
+import gate
 from repro import BatchEngine, OPTIMIZED, ResilienceConfig
 from repro.util import images
-from repro.util.io import atomic_write_text
 
 #: Full-size configuration (matches bench_throughput).
 SIZE, N_FRAMES, WORKERS = 512, 64, 4
 #: CI smoke configuration.
 SMOKE_SIZE, SMOKE_FRAMES = 256, 16
-#: Timing repetitions; the minimum is compared (least-noise estimator).
-ROUNDS = 5
+#: Timed plain/resilient pairs; the median block ratio is gated.
+PAIRS = 14
 #: Maximum tolerated overhead of the disabled resilience path.
 THRESHOLD = 0.05
 
 
-def _smoke() -> bool:
-    return bool(os.environ.get("REPRO_BENCH_SMOKE"))
-
-
-def _time_batch(frames, resilience) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        engine = BatchEngine(OPTIMIZED, workers=WORKERS,
-                             resilience=resilience)
-        t0 = time.perf_counter()
-        engine.run(frames)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def measure() -> dict:
-    size = SMOKE_SIZE if _smoke() else SIZE
-    n_frames = SMOKE_FRAMES if _smoke() else N_FRAMES
+    smoke = gate.smoke()
+    size = SMOKE_SIZE if smoke else SIZE
+    n_frames = SMOKE_FRAMES if smoke else N_FRAMES
     frames = list(images.video_sequence(size, size, n_frames, seed=3))
 
-    # Warm both paths (imports, plan capture, allocator).
-    _time_batch(frames[:2], None)
-    _time_batch(frames[:2], ResilienceConfig())
+    def batch(resilience):
+        return lambda: BatchEngine(OPTIMIZED, workers=WORKERS,
+                                   resilience=resilience).run(frames)
 
-    plain = _time_batch(frames, None)
-    resilient = _time_batch(frames, ResilienceConfig())
+    pairs = gate.paired(batch(None), batch(ResilienceConfig()), PAIRS)
+    ratio = pairs.ratios()
     return {
         "benchmark": "resilience_overhead",
         "size": size,
         "n_frames": n_frames,
         "workers": WORKERS,
-        "rounds": ROUNDS,
-        "plain_s": plain,
-        "resilient_s": resilient,
-        "overhead": resilient / plain - 1.0,
+        "pairs": PAIRS,
+        "plain_s": statistics.median(pairs.base_s),
+        "resilient_s": statistics.median(pairs.cand_s),
+        "ratio": ratio,
+        "overhead": ratio["median"] - 1.0,
         "threshold": THRESHOLD,
-        "smoke": _smoke(),
+        "smoke": smoke,
     }
 
 
-def test_resilience_overhead_within_threshold(results_dir):
-    result = measure()
-    atomic_write_text(
-        results_dir / "BENCH_resilience.json",
-        json.dumps(result, indent=1) + "\n",
-    )
-    print(f"\nresilience overhead (faults disabled): "
-          f"plain {result['plain_s'] * 1e3:.1f} ms, "
-          f"resilient {result['resilient_s'] * 1e3:.1f} ms "
-          f"({100 * result['overhead']:+.2f}%)")
+def check(result: dict) -> None:
     assert result["overhead"] < THRESHOLD, (
         f"disabled-resilience overhead {100 * result['overhead']:.1f}% "
         f"exceeds {100 * THRESHOLD:.0f}% — the no-fault hot path must "
@@ -91,12 +67,17 @@ def test_resilience_overhead_within_threshold(results_dir):
     )
 
 
-if __name__ == "__main__":
-    import pathlib
+def report(result: dict) -> str:
+    return (f"resilience overhead (faults disabled): "
+            f"plain {result['plain_s'] * 1e3:.1f} ms, "
+            f"resilient {result['resilient_s'] * 1e3:.1f} ms "
+            f"({100 * result['overhead']:+.2f}%, median of "
+            f"{result['pairs'] // 2} two-pair blocks)")
 
-    out = pathlib.Path(__file__).parent / "results"
-    out.mkdir(exist_ok=True)
-    result = measure()
-    atomic_write_text(out / "BENCH_resilience.json",
-                      json.dumps(result, indent=1) + "\n")
-    print(json.dumps(result, indent=1))
+
+def test_resilience_overhead_within_threshold():
+    gate.run("resilience", measure, check, report)
+
+
+if __name__ == "__main__":
+    gate.run("resilience", measure, check, report)

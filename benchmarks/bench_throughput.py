@@ -12,32 +12,31 @@ Measures the wall-clock throughput of a frame stream two ways:
   :class:`~repro.core.plan.ExecutionPlan`, every later frame replays it
   through pooled buffers.
 
-Asserts the engine sustains at least :data:`MIN_SPEEDUP` over the baseline,
-that cached and uncached runs produce **bit-identical** frames
-(``np.array_equal``) and equal edge means, and that the plan-cache hit/miss
-counters appear in the Prometheus export.  Results land in
-``benchmarks/results/BENCH_throughput.json`` — the first entry of the
-repo's perf trajectory.
+Asserts that the median block speedup of :data:`PAIRS` alternating
+engine/baseline pairs is at least :data:`MIN_SPEEDUP`, that cached and
+uncached runs produce **bit-identical** frames (``np.array_equal``) and
+equal edge means, that the cold run misses the plan cache at most once,
+and that the plan-cache counters appear in the Prometheus export.
+Results land in
+``benchmarks/results/BENCH_throughput.json``.
 
 Run with ``pytest benchmarks/bench_throughput.py`` or directly with
-``PYTHONPATH=src python benchmarks/bench_throughput.py [--smoke]``; the
-``--smoke`` flag (or ``REPRO_BENCH_SMOKE=1``) switches to a tiny
-size/frame count for CI, with a correspondingly relaxed speedup floor.
+``PYTHONPATH=src python benchmarks/bench_throughput.py``;
+``REPRO_BENCH_SMOKE=1`` switches to a tiny size/frame count for CI, with
+a correspondingly relaxed speedup floor.
 """
 
 from __future__ import annotations
 
 import io
-import json
-import os
-import time
+import statistics
 
 import numpy as np
 
+import gate
 from repro import BatchEngine, GPUPipeline, OPTIMIZED, RunContext
 from repro.types import Image
 from repro.util import images
-from repro.util.io import atomic_write_text
 
 #: Full benchmark: the acceptance configuration (64 frames of 512x512,
 #: 4 workers, >= 2x).
@@ -46,53 +45,43 @@ SIZE, N_FRAMES, WORKERS, MIN_SPEEDUP = 512, 64, 4, 2.0
 #: overheads weigh more at small sizes, but a regression that serializes
 #: the engine or kills the plan cache still fails loudly).
 SMOKE_SIZE, SMOKE_FRAMES, SMOKE_MIN_SPEEDUP = 256, 16, 1.4
+#: Timed engine/baseline pairs; the median block speedup is gated.
+PAIRS = 8
 
 
-def _smoke_requested() -> bool:
-    return bool(os.environ.get("REPRO_BENCH_SMOKE"))
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
-def measure(*, smoke: bool | None = None) -> dict:
-    smoke = _smoke_requested() if smoke is None else smoke
+def measure() -> dict:
+    smoke = gate.smoke()
     size = SMOKE_SIZE if smoke else SIZE
     n_frames = SMOKE_FRAMES if smoke else N_FRAMES
     min_speedup = SMOKE_MIN_SPEEDUP if smoke else MIN_SPEEDUP
     frames = [Image.from_array(f)
               for f in images.video_sequence(size, size, n_frames, seed=7)]
 
-    reps = 3  # min-of-N on both sides: page-cache/allocator noise swings
-    #           either loop by ~20%, and the minimum is the honest steady
-    #           state for a throughput engine.
-
     # Baseline: the seed per-frame loop (no plan cache, no buffer pool).
-    baseline_pipe = GPUPipeline(OPTIMIZED, caching=False)
-    baseline_results = [baseline_pipe.run(f) for f in frames]  # warm+identity
-    baseline_s = min(
-        _timed(lambda: [baseline_pipe.run(f) for f in frames])
-        for _ in range(reps)
-    )
-
     # Engine: warm plan cache, default worker pool, live observability.
+    baseline_pipe = GPUPipeline(OPTIMIZED, caching=False)
     obs = RunContext.create("bench-throughput", log_level="warning",
                             log_stream=io.StringIO())
     engine = BatchEngine(OPTIMIZED, workers=WORKERS, keep_outputs=True,
                          obs=obs)
-    result = engine.run(frames)  # warm: capture the plan, fill the pool
-    engine_s = min(
-        _timed(lambda: engine.run(frames)) for _ in range(reps)
-    )
+    last = {}
+
+    def run_baseline() -> None:
+        last["baseline"] = [baseline_pipe.run(f) for f in frames]
+
+    def run_engine() -> None:
+        last["engine"] = engine.run(frames)
+        last.setdefault("cold", last["engine"])
+
+    # Engine as the base side: the ratio baseline/engine is the speedup.
+    pairs = gate.paired(run_engine, run_baseline, PAIRS)
+    result = last["engine"]
 
     # Cached output must be bit-identical to the uncached baseline.
     identical = all(
         np.array_equal(out, ref.final) and mean == ref.edge_mean
         for out, mean, ref in zip(result.outputs, result.edge_means,
-                                  baseline_results)
+                                  last["baseline"])
     )
 
     prometheus = obs.metrics.to_prometheus_text()
@@ -101,29 +90,32 @@ def measure(*, smoke: bool | None = None) -> dict:
         and 'repro_plan_cache_requests_total{outcome="miss"}' in prometheus
     )
 
-    baseline_fps = n_frames / baseline_s
-    engine_fps = n_frames / engine_s
+    speedup = pairs.ratios()
+    baseline_s = statistics.median(pairs.cand_s)
+    engine_s = statistics.median(pairs.base_s)
     return {
         "benchmark": "throughput",
         "smoke": smoke,
         "size": size,
         "frames": n_frames,
         "workers": WORKERS,
+        "pairs": PAIRS,
         "effective_workers": engine.effective_workers,
         "baseline_s": baseline_s,
         "engine_s": engine_s,
-        "baseline_fps": baseline_fps,
-        "engine_fps": engine_fps,
-        "speedup": baseline_s / engine_s,
+        "baseline_fps": n_frames / baseline_s,
+        "engine_fps": n_frames / engine_s,
+        "speedup_ratios": speedup,
+        "speedup": speedup["median"],
         "min_speedup": min_speedup,
         "bit_identical": identical,
-        "plan_cache": result.plan_stats,
+        "plan_cache": last["cold"].plan_stats,  # stats are cumulative
         "buffer_pool": result.pool_stats,
         "plan_counters_in_prometheus": counters_exported,
     }
 
 
-def _check(result: dict) -> None:
+def check(result: dict) -> None:
     assert result["bit_identical"], (
         "cached batch output diverged from the uncached per-frame baseline"
     )
@@ -141,35 +133,19 @@ def _check(result: dict) -> None:
     )
 
 
-def _report(result: dict) -> str:
+def report(result: dict) -> str:
     return (
         f"throughput ({result['size']}x{result['size']} x "
         f"{result['frames']} frames, {result['workers']} workers): "
         f"baseline {result['baseline_fps']:.1f} fps -> engine "
-        f"{result['engine_fps']:.1f} fps ({result['speedup']:.2f}x)"
+        f"{result['engine_fps']:.1f} fps ({result['speedup']:.2f}x, "
+        f"median of {result['pairs'] // 2} two-pair blocks)"
     )
 
 
-def test_throughput_speedup(results_dir):
-    result = measure()
-    atomic_write_text(
-        results_dir / "BENCH_throughput.json",
-        json.dumps(result, indent=1) + "\n",
-    )
-    print("\n" + _report(result))
-    _check(result)
+def test_throughput_speedup():
+    gate.run("throughput", measure, check, report)
 
 
 if __name__ == "__main__":
-    import pathlib
-    import sys
-
-    smoke = "--smoke" in sys.argv or _smoke_requested()
-    out = pathlib.Path(__file__).parent / "results"
-    out.mkdir(exist_ok=True)
-    result = measure(smoke=smoke)
-    atomic_write_text(out / "BENCH_throughput.json",
-                      json.dumps(result, indent=1) + "\n")
-    print(json.dumps(result, indent=1))
-    _check(result)
-    print(_report(result))
+    gate.run("throughput", measure, check, report)

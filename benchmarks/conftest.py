@@ -13,8 +13,13 @@ from __future__ import annotations
 
 import os
 import pathlib
+import sys
 
 import pytest
+
+# The perf gates import their shared harness as ``gate``, the name it has
+# when a gate script runs directly (its directory is ``sys.path[0]``).
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

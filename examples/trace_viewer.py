@@ -16,7 +16,15 @@ import sys
 
 from repro import GPUPipeline, Image, OPTIMIZED
 from repro.core import StreamProcessor
+from repro.obs import Tracer
 from repro.util import images
+
+
+def write_trace(timeline, label: str, path: pathlib.Path) -> None:
+    """Write a simulated timeline as its own process in a Chrome trace."""
+    tracer = Tracer()
+    tracer.merge_timeline(timeline, label=label)
+    tracer.write_chrome_trace(path)
 
 
 def main() -> None:
@@ -30,7 +38,7 @@ def main() -> None:
     print("In-order optimized pipeline at 1024x1024:\n")
     print(res.timeline.ascii_gantt(60))
     single_path = outdir / "pipeline_1024.trace.json"
-    res.timeline.write_chrome_trace(single_path)
+    write_trace(res.timeline, "pipeline 1024x1024", single_path)
 
     # --- a pipelined 3-frame stream -------------------------------------
     frames = images.video_sequence(1024, 1024, 3, seed=5)
@@ -42,7 +50,7 @@ def main() -> None:
           f"{stream.total_time * 1e3:.2f} ms "
           f"({serial / stream.total_time:.2f}x)")
     stream_path = outdir / "stream_3x1024.trace.json"
-    stream.pipelined_timeline.write_chrome_trace(stream_path)
+    write_trace(stream.pipelined_timeline, "stream 3x1024", stream_path)
 
     print(f"\nwrote {single_path} and {stream_path}")
     print("open them at https://ui.perfetto.dev to see the DMA/compute/"

@@ -266,9 +266,6 @@ class BatchEngine:
         with ``isolate=True`` — a frame that still fails yields an
         in-order ``FrameStats(error=...)`` plus a dead letter instead of
         aborting the batch.
-    timeout:
-        Per-frame execution deadline in seconds (must be > 0); feeds the
-        resilience layer's retry-deadline check.
     hooks:
         Optional lifecycle hooks (duck-typed; see
         :class:`~repro.lifecycle.job.EngineHooks` for the reference
@@ -298,14 +295,9 @@ class BatchEngine:
                  keep_outputs: bool = False,
                  obs: RunContext | None = None,
                  resilience=None,
-                 timeout: float | None = None,
                  hooks=None) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
-        if timeout is not None and timeout <= 0:
-            raise ConfigError(
-                f"timeout must be > 0 seconds, got {timeout}"
-            )
         self.workers = workers
         self.effective_workers = min(workers, os.cpu_count() or workers)
         self.queue_depth = (queue_depth if queue_depth is not None
@@ -317,9 +309,16 @@ class BatchEngine:
             )
         self.keep_outputs = keep_outputs
         self.obs = obs or NULL_CONTEXT
-        self.timeout = timeout
         self.hooks = hooks or _NoHooks()
-        self.resilience = self._effective_resilience(resilience)
+        if resilience is not None:
+            from ..resilience.fallback import ResilienceConfig
+
+            if not isinstance(resilience, ResilienceConfig):
+                raise ConfigError(
+                    f"resilience must be a ResilienceConfig, got "
+                    f"{type(resilience).__name__}"
+                )
+        self.resilience = resilience
         self.plan_cache = PlanCache()
         self.buffer_pool = BufferPool(max_entries=workers + 1, obs=self.obs)
         #: The one pipeline every worker runs.
@@ -331,22 +330,6 @@ class BatchEngine:
             from ..resilience.fallback import FallbackPipeline
             self.pipeline = FallbackPipeline(self.pipeline, self.resilience,
                                              obs=self.obs)
-
-    def _effective_resilience(self, resilience):
-        """Fold the engine-level ``timeout`` into the resilience config."""
-        if resilience is None:
-            return None
-        from ..resilience.fallback import ResilienceConfig
-
-        if not isinstance(resilience, ResilienceConfig):
-            raise ConfigError(
-                f"resilience must be a ResilienceConfig, got "
-                f"{type(resilience).__name__}"
-            )
-        if self.timeout is not None and resilience.timeout_s is None:
-            from dataclasses import replace
-            resilience = replace(resilience, timeout_s=self.timeout)
-        return resilience
 
     # -- workers ---------------------------------------------------------------
 

@@ -78,8 +78,3 @@ def dominant_stages(fracs: dict[str, float], top: int = 2) -> list[str]:
     """Names of the ``top`` largest stages (for shape assertions)."""
     return [k for k, _ in
             sorted(fracs.items(), key=lambda kv: -kv[1])[:top]]
-
-
-def evenness(fracs: dict[str, float]) -> float:
-    """Largest stage share — lower means more evenly distributed."""
-    return max(fracs.values()) if fracs else 0.0

@@ -126,14 +126,9 @@ class GaugeChild(_Child):
 
 
 class HistogramChild(_Child):
-    """Bucketed counts plus the raw observations (for exact percentiles).
+    """Bucketed counts plus the running sum and count of observations."""
 
-    Prometheus histograms only keep bucket counts; the registry is
-    in-process, so keeping the raw samples too costs little and lets
-    reports ask for exact percentiles instead of bucket-interpolated ones.
-    """
-
-    __slots__ = ("buckets", "bucket_counts", "sum", "observations")
+    __slots__ = ("buckets", "bucket_counts", "sum", "count")
 
     def __init__(self, labels: Mapping[str, str],
                  buckets: tuple[float, ...]) -> None:
@@ -141,11 +136,7 @@ class HistogramChild(_Child):
         self.buckets = buckets
         self.bucket_counts = [0] * len(buckets)  # per-bucket, not cumulative
         self.sum = 0.0
-        self.observations: list[float] = []
-
-    @property
-    def count(self) -> int:
-        return len(self.observations)
+        self.count = 0
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -154,7 +145,7 @@ class HistogramChild(_Child):
             if idx < len(self.buckets):
                 self.bucket_counts[idx] += 1
             self.sum += value
-            self.observations.append(value)
+            self.count += 1
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs ending with +Inf."""
@@ -165,26 +156,6 @@ class HistogramChild(_Child):
             out.append((bound, running))
         out.append((math.inf, self.count))
         return out
-
-    def percentile(self, p: float) -> float:
-        """Exact ``p``-th percentile (linear interpolation, 0 <= p <= 100)."""
-        if not 0.0 <= p <= 100.0:
-            raise ValidationError(f"percentile must be in [0, 100], got {p}")
-        if not self.observations:
-            raise ValidationError("percentile of an empty histogram")
-        data = sorted(self.observations)
-        if len(data) == 1:
-            return data[0]
-        rank = p / 100.0 * (len(data) - 1)
-        lo = int(rank)
-        frac = rank - lo
-        if lo + 1 >= len(data):
-            return data[-1]
-        return data[lo] + frac * (data[lo + 1] - data[lo])
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.observations else 0.0
 
 
 _CHILD_TYPES = {

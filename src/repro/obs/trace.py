@@ -42,8 +42,8 @@ from ..util.io import atomic_write_text
 #: pid of the host-span process row in exported traces.
 HOST_PID = 1
 
-#: Chrome-trace row per merged simulated event kind (mirrors
-#: ``repro.simgpu.profiling._TRACE_ROWS``).
+#: Chrome-trace row per merged simulated event kind (keeps transfers,
+#: kernels and host work on separate "threads" in the viewer).
 _SIM_ROWS = {"kernel": 1, "transfer": 2, "host": 3, "sync": 4}
 
 

@@ -26,11 +26,6 @@ class AccessCounts:
             return self.reads.get(name, 0)
         return sum(self.reads.values())
 
-    def write_elements(self, name: str | None = None) -> int:
-        if name is not None:
-            return self.writes.get(name, 0)
-        return sum(self.writes.values())
-
     def read_bytes(self, itemsizes: dict[str, int]) -> float:
         """Total read bytes given each buffer's transfer element size."""
         return float(sum(n * itemsizes.get(name, 4)

@@ -9,14 +9,9 @@ profiling run would produce.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..errors import ValidationError
-
-#: Chrome-trace row per event kind (keeps transfers, kernels and host work
-#: on separate "threads" in the viewer).
-_TRACE_ROWS = {"kernel": 1, "transfer": 2, "host": 3, "sync": 4}
 
 
 @dataclass(frozen=True)
@@ -97,37 +92,6 @@ class Timeline:
         return [e for e in self.events if e.kind == kind]
 
     # -- export ----------------------------------------------------------
-
-    def chrome_trace(self) -> list[dict]:
-        """Events in Chrome trace-event format (load via chrome://tracing
-        or https://ui.perfetto.dev).  Timestamps are microseconds."""
-        out = []
-        for e in self.events:
-            out.append({
-                "name": e.name,
-                "cat": e.kind,
-                "ph": "X",
-                "ts": e.start * 1e6,
-                "dur": e.duration * 1e6,
-                "pid": 1,
-                "tid": _TRACE_ROWS.get(e.kind, 9),
-                "args": {"stage": e.stage},
-            })
-        return out
-
-    def write_chrome_trace(self, path) -> None:
-        """Write the timeline as a Chrome trace JSON file.
-
-        Accepts ``str`` or :class:`pathlib.Path`; the write is atomic
-        (temp file + rename) so a crashed run never leaves a truncated
-        trace behind.
-        """
-        from ..util.io import atomic_write_text
-
-        atomic_write_text(path, json.dumps(
-            {"traceEvents": self.chrome_trace(), "displayTimeUnit": "ms"},
-            indent=1,
-        ))
 
     def ascii_gantt(self, width: int = 72) -> str:
         """Render the timeline as a monospace Gantt chart.

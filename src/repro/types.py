@@ -187,16 +187,6 @@ class StageTimes:
             return {k: 0.0 for k in self.times}
         return {k: v / tot for k, v in self.times.items()}
 
-    def merged(self, mapping: dict[str, str]) -> "StageTimes":
-        """Return a new breakdown with stages renamed/merged via ``mapping``.
-
-        Stages absent from ``mapping`` keep their name.
-        """
-        out = StageTimes()
-        for k, v in self.times.items():
-            out.add(mapping.get(k, k), v)
-        return out
-
 
 @dataclass
 class FrameResult:

@@ -134,7 +134,8 @@ class TestValidation:
     @pytest.mark.parametrize("timeout", [0, -1.5])
     def test_nonpositive_timeout_rejected(self, timeout):
         with pytest.raises(ConfigError, match="timeout"):
-            BatchEngine(OPTIMIZED, timeout=timeout)
+            BatchEngine(OPTIMIZED,
+                        resilience=ResilienceConfig(timeout_s=timeout))
 
     def test_non_callable_source_rejected(self, frames10):
         engine = BatchEngine(OPTIMIZED)

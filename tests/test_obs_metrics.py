@@ -1,4 +1,4 @@
-"""Metrics registry: counters/gauges/histograms, percentiles, exporters."""
+"""Metrics registry: counters/gauges/histograms, exporters."""
 
 import json
 import math
@@ -61,39 +61,12 @@ class TestCounterGauge:
 
 
 class TestHistogramMath:
-    def test_percentile_linear_interpolation(self):
-        h = MetricsRegistry().histogram("h", buckets=(1.0, 10.0)) \
-                             .labels()
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 4.0
-        assert h.percentile(50) == pytest.approx(2.5)
-        assert h.percentile(25) == pytest.approx(1.75)
-
-    def test_percentile_single_observation(self):
-        h = MetricsRegistry().histogram("h").labels()
-        h.observe(0.5)
-        assert h.percentile(99) == 0.5
-
-    def test_percentile_empty_raises(self):
-        h = MetricsRegistry().histogram("h").labels()
-        with pytest.raises(ValidationError):
-            h.percentile(50)
-
-    def test_percentile_out_of_range_raises(self):
-        h = MetricsRegistry().histogram("h").labels()
-        h.observe(1.0)
-        with pytest.raises(ValidationError):
-            h.percentile(101)
-
     def test_sum_count_mean(self):
         h = MetricsRegistry().histogram("h").labels()
         for v in (0.25, 0.75):
             h.observe(v)
         assert h.sum == 1.0
         assert h.count == 2
-        assert h.mean == 0.5
 
     def test_cumulative_buckets_monotone_and_end_with_inf(self):
         h = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 4.0)) \

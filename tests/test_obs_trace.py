@@ -6,9 +6,12 @@ import threading
 
 import pytest
 
+from repro.core import OPTIMIZED, GPUPipeline
 from repro.errors import ValidationError
 from repro.obs import NullTracer, Tracer
 from repro.simgpu.profiling import Timeline
+from repro.types import Image
+from repro.util import images
 
 
 class FakeClock:
@@ -213,6 +216,48 @@ class TestMergeTimeline:
         tr = make_tracer()
         with pytest.raises(ValidationError):
             tr.merge_timeline(self.make_timeline(), pid=1)
+
+    @pytest.fixture(scope="class")
+    def pipeline_merge(self):
+        """A real pipeline timeline and its merged Chrome events."""
+        timeline = GPUPipeline(OPTIMIZED).run(
+            Image.from_array(images.natural_like(64, 64, seed=2))).timeline
+        tr = make_tracer()
+        pid = tr.merge_timeline(timeline)
+        events = [e for e in tr.chrome_trace()["traceEvents"]
+                  if e["pid"] == pid and e["ph"] == "X"]
+        return timeline, events
+
+    def test_event_fields(self, pipeline_merge):
+        timeline, events = pipeline_merge
+        assert len(events) == len(timeline.events)
+        for e in events:
+            assert e["dur"] >= 0
+            assert e["cat"] in ("kernel", "transfer", "host", "sync")
+
+    def test_kinds_map_to_rows(self, pipeline_merge):
+        _, events = pipeline_merge
+        rows = {(e["cat"], e["tid"]) for e in events}
+        kinds = {kind for kind, _ in rows}
+        assert len(kinds) > 1
+        # One row per kind, and no two kinds share a row.
+        assert len(rows) == len(kinds) == len({tid for _, tid in rows})
+
+    def test_timestamps_microseconds(self, pipeline_merge):
+        timeline, events = pipeline_merge
+        assert events[-1]["ts"] + events[-1]["dur"] == \
+            pytest.approx(timeline.total * 1e6)
+
+    def test_json_roundtrip(self, pipeline_merge, tmp_path):
+        timeline, _ = pipeline_merge
+        tr = make_tracer()
+        pid = tr.merge_timeline(timeline)
+        path = tr.write_chrome_trace(tmp_path / "trace.json")
+        data = json.loads(path.read_text())
+        assert "traceEvents" in data
+        merged = [e for e in data["traceEvents"]
+                  if e["pid"] == pid and e["ph"] == "X"]
+        assert len(merged) == len(timeline.events)
 
     def test_perfetto_loadable_json(self, tmp_path):
         tr = make_tracer()

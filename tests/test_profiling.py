@@ -1,6 +1,4 @@
-"""Timeline semantics and trace export."""
-
-import json
+"""Timeline semantics and the ASCII Gantt rendering."""
 
 import pytest
 
@@ -60,33 +58,6 @@ def pipeline_timeline():
     res = GPUPipeline(OPTIMIZED).run(
         Image.from_array(images.natural_like(64, 64, seed=2)))
     return res.timeline
-
-
-class TestChromeTrace:
-    def test_event_fields(self, pipeline_timeline):
-        trace = pipeline_timeline.chrome_trace()
-        assert len(trace) == len(pipeline_timeline.events)
-        for entry in trace:
-            assert entry["ph"] == "X"
-            assert entry["dur"] >= 0
-            assert entry["cat"] in ("kernel", "transfer", "host", "sync")
-
-    def test_kinds_map_to_rows(self, pipeline_timeline):
-        trace = pipeline_timeline.chrome_trace()
-        tids = {e["cat"]: e["tid"] for e in trace}
-        assert tids["kernel"] != tids["transfer"]
-
-    def test_json_roundtrip(self, pipeline_timeline, tmp_path):
-        path = tmp_path / "trace.json"
-        pipeline_timeline.write_chrome_trace(path)
-        data = json.loads(path.read_text())
-        assert "traceEvents" in data
-        assert len(data["traceEvents"]) == len(pipeline_timeline.events)
-
-    def test_timestamps_microseconds(self, pipeline_timeline):
-        trace = pipeline_timeline.chrome_trace()
-        total_us = pipeline_timeline.total * 1e6
-        assert trace[-1]["ts"] + trace[-1]["dur"] == pytest.approx(total_us)
 
 
 class TestAsciiGantt:

@@ -132,12 +132,3 @@ class TestStageTimes:
 
     def test_fractions_of_empty(self):
         assert StageTimes().fractions() == {}
-
-    def test_merged_renames(self):
-        st = StageTimes()
-        st.add("perror", 1.0)
-        st.add("overshoot", 2.0)
-        st.add("sobel", 4.0)
-        merged = st.merged({"perror": "sharpness", "overshoot": "sharpness"})
-        assert merged.times == {"sharpness": 3.0, "sobel": 4.0}
-        assert merged.total == st.total
