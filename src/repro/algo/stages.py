@@ -11,9 +11,21 @@ the row-range forms strip by strip.  A whole-frame function is its row-range for
 strip boundaries cannot change a bit.  Whole-frame functions validate
 their inputs and never mutate them; ``out=`` must have the result's shape,
 and scratch arrays are used up to the size needed.
+
+The stages that read only the original (:func:`downscale`,
+:func:`sobel_rows`, :func:`minmax3x3`, :func:`perror`) branch on its
+dtype: a ``uint8`` frame is read as is and summed in a narrow integer
+type that holds every partial sum exactly (``uint16`` for the 4x4 block
+sums, ``int16`` for the Sobel terms), and the exact integer result is
+cast to float64.  Every other dtype is computed in float64, where the
+same sums of small integers are exact too, so both branches produce the
+same bits.  Narrow scratch is a view over the leading bytes of the
+caller's float64 scratch (:func:`_scratch`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,8 +79,15 @@ SOBEL_GY = np.array(
 )
 
 
+def _as_original(src: np.ndarray) -> np.ndarray:
+    """``src`` as the original-reading stages take it: ``uint8`` as is,
+    anything else as float64."""
+    arr = np.asarray(src)
+    return arr if arr.dtype == np.uint8 else arr.astype(FLOAT, copy=False)
+
+
 def _check_plane(src: np.ndarray, name: str = "src") -> np.ndarray:
-    arr = np.asarray(src, dtype=FLOAT)
+    arr = _as_original(src)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got ndim={arr.ndim}")
     h, w = arr.shape
@@ -81,10 +100,20 @@ def _check_plane(src: np.ndarray, name: str = "src") -> np.ndarray:
 
 def _scratch(buf: np.ndarray | None, shape: tuple[int, ...],
              dtype=FLOAT) -> np.ndarray:
-    """The leading ``shape`` part of scratch ``buf``, or a new array."""
+    """The leading ``shape`` part of scratch ``buf``, or a new array.
+
+    A ``dtype`` other than ``buf``'s is a view over the leading bytes of
+    the C-contiguous ``buf``, so one float64 scratch array also serves the
+    narrow integer stages.
+    """
     if buf is None:
         return np.empty(shape, dtype=dtype)
-    return buf[tuple(map(slice, shape))]
+    if buf.dtype == dtype:
+        return buf[tuple(map(slice, shape))]
+    if not buf.flags.c_contiguous:
+        raise ValidationError("narrow scratch needs a C-contiguous buffer")
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    return buf.reshape(-1).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +129,26 @@ def downscale(src: np.ndarray, out: np.ndarray | None = None, *,
     ``(H/4, W/4)``.  Sums run in order, ``((a0+a1)+a2)+a3``, along each row
     into ``colsum`` (``(H, W/4)`` scratch), then down the columns: explicit
     slice adds, three times faster than a strided multi-axis reduce.
+
+    A ``uint8`` ``src`` is summed in ``uint16`` (a block sums to at most
+    16 * 255), the column pass in place in ``colsum``; only the division
+    by 16 runs in float64.
     """
     arr = _check_plane(src)
     h, w = arr.shape
     out = _scratch(out, (h // SCALE, w // SCALE))
+    acc = np.uint16 if arr.dtype == np.uint8 else FLOAT
     cols = arr.reshape(h, w // SCALE, SCALE)
-    s1 = _scratch(colsum, (h, w // SCALE))
-    np.add(cols[:, :, 0], cols[:, :, 1], out=s1)
+    s1 = _scratch(colsum, (h, w // SCALE), acc)
+    np.add(cols[:, :, 0], cols[:, :, 1], out=s1, dtype=acc)
     for k in range(2, SCALE):
-        np.add(s1, cols[:, :, k], out=s1)
+        np.add(s1, cols[:, :, k], out=s1, dtype=acc)
     rows = s1.reshape(h // SCALE, SCALE, w // SCALE)
-    np.add(rows[:, 0], rows[:, 1], out=out)
+    total = out if acc is FLOAT else rows[:, 0]
+    np.add(rows[:, 0], rows[:, 1], out=total)
     for k in range(2, SCALE):
-        np.add(out, rows[:, k], out=out)
-    np.divide(out, FLOAT(SCALE * SCALE), out=out)
+        np.add(total, rows[:, k], out=total)
+    np.divide(total, FLOAT(SCALE * SCALE), out=out)
     return out
 
 
@@ -266,8 +301,9 @@ def upscale(down: np.ndarray) -> np.ndarray:
 
 def perror(src: np.ndarray, upscaled: np.ndarray,
            out: np.ndarray | None = None) -> np.ndarray:
-    """Difference matrix ``pError = original - upscaled``."""
-    a = np.asarray(src, dtype=FLOAT)
+    """Difference matrix ``pError = original - upscaled``; a ``uint8``
+    original is subtracted as is."""
+    a = _as_original(src)
     b = np.asarray(upscaled, dtype=FLOAT)
     if a.shape != b.shape:
         raise ValidationError(
@@ -293,20 +329,25 @@ def sobel_rows(src: np.ndarray, edge: np.ndarray, r0: int, r1: int, *,
     ``gx = (ne + 2*e + se) - (nw + 2*w + sw)`` from column sums (``tcol``:
     ``(n, W)`` scratch), ``gy = (sw + 2*s + se) - (nw + 2*n + ne)`` from
     row sums (``urow``: ``(n + 2, W - 2)``; ``gx``, ``gy``: ``(n, W - 2)``).
+
+    A ``uint8`` ``src`` runs in ``int16`` scratch (``|Gx| + |Gy|`` is at
+    most 2040), cast into the float64 ``edge`` by the last add.
     """
     w = src.shape[1]
     n = r1 - r0
-    tc = _scratch(tcol, (n, w))
-    np.multiply(src[r0:r1], 2.0, out=tc)
+    acc = np.int16 if src.dtype == np.uint8 else FLOAT
+    tc = _scratch(tcol, (n, w), acc)
+    np.multiply(src[r0:r1], 2, out=tc, dtype=acc)
     np.add(src[r0 - 1:r1 - 1], tc, out=tc)
     np.add(tc, src[r0 + 1:r1 + 1], out=tc)
-    dx = np.subtract(tc[:, 2:], tc[:, :-2], out=_scratch(gx, (n, w - 2)))
+    dx = np.subtract(tc[:, 2:], tc[:, :-2],
+                     out=_scratch(gx, (n, w - 2), acc))
     halo = src[r0 - 1:r1 + 1]
-    ur = _scratch(urow, (n + 2, w - 2))
-    np.multiply(halo[:, 1:w - 1], 2.0, out=ur)
+    ur = _scratch(urow, (n + 2, w - 2), acc)
+    np.multiply(halo[:, 1:w - 1], 2, out=ur, dtype=acc)
     np.add(halo[:, 0:w - 2], ur, out=ur)
     np.add(ur, halo[:, 2:w], out=ur)
-    dy = np.subtract(ur[2:], ur[:-2], out=_scratch(gy, (n, w - 2)))
+    dy = np.subtract(ur[2:], ur[:-2], out=_scratch(gy, (n, w - 2), acc))
     np.abs(dx, out=dx)
     np.abs(dy, out=dy)
     np.add(dx, dy, out=edge[r0:r1, 1:w - 1])
@@ -446,16 +487,19 @@ def minmax3x3(src: np.ndarray, r0: int = 1, r1: int | None = None, *,
 
     Separable: the min/max of three columns for rows ``r0 - 1`` to ``r1``
     (scratch ``mnc``/``mxc``, ``(n + 2, W - 2)``), then of three rows.
+    The extrema keep ``src``'s dtype, so those of a ``uint8`` frame are
+    ``uint8``.
     """
     h, w = src.shape
     if r1 is None:
         r1 = h - 1
     n = r1 - r0
+    dt = src.dtype
     halo = src[r0 - 1:r1 + 1]
     cols = (halo[:, 0:w - 2], halo[:, 1:w - 1], halo[:, 2:w])
-    lo, hi = _scratch(mn, (n, w - 2)), _scratch(mx, (n, w - 2))
+    lo, hi = _scratch(mn, (n, w - 2), dt), _scratch(mx, (n, w - 2), dt)
     for op, across, res in ((np.minimum, mnc, lo), (np.maximum, mxc, hi)):
-        t = op(cols[0], cols[1], out=_scratch(across, (n + 2, w - 2)))
+        t = op(cols[0], cols[1], out=_scratch(across, (n + 2, w - 2), dt))
         op(t, cols[2], out=t)
         op(t[0:n], t[1:n + 1], out=res)
         op(res, t[2:n + 2], out=res)

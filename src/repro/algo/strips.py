@@ -289,12 +289,19 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
     """Sharpen ``plane`` through the scratch of ``ws`` (a frame-clean
     :class:`Workspace` of the same shape); return ``(final, edge_mean)``.
 
+    ``plane`` is read as given: a ``uint8`` frame runs the stages that
+    read only the original in exact integers (see
+    :mod:`repro.algo.stages`), with the same bits as its float64 copy.
+
     ``levels`` is the reduction level chain the pEdge mean is folded
     through (see :func:`~repro.algo.stages.reduce_mean`; ``()`` for a
     flat host sum).  Each phase runs in a span of ``trace``
     (``strips.downscale``, ``strips.pass1``, ``strips.reduce``,
-    ``strips.pass2``).  Steady state allocates nothing but the returned
-    output plane, which the caller owns.
+    ``strips.pass2``).  Steady state allocates the returned output plane,
+    which the caller owns, and per strip only the overshoot blend's index
+    temporaries (a few bytes per overshooting pixel) and NumPy's casting
+    buffers, all freed before the strip ends: less than
+    :data:`STRIP_BYTES` beyond the output in all.
     """
     h, w = plane.shape
     # Strip j covers interior rows [1 + j*S, 1 + (j+1)*S) ∩ [1, h-1).

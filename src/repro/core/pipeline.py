@@ -223,7 +223,7 @@ class GPUPipeline:
             faults.check("kernel", obs, detail="plan-replay")
         pool = self.buffer_pool
         with pool.lease(image.height, image.width) as ws:
-            final, edge_mean = plan.execute(image.plane, self.params, ws,
+            final, edge_mean = plan.execute(image.pixels, self.params, ws,
                                             trace=obs.trace)
         record_commands(obs, plan.timeline, plan.transfer_bytes)
         if obs.enabled:

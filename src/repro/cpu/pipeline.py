@@ -52,7 +52,7 @@ class CPUPipeline:
     def run(self, image: Image | np.ndarray) -> FrameResult:
         if not isinstance(image, Image):
             image = Image.from_array(np.asarray(image))
-        src = image.plane
+        src = image.pixels
         h, w = src.shape
         obs = self.obs
         times = cost.stage_times(h, w, self.cpu)

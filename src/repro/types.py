@@ -1,9 +1,11 @@
 """Core value types shared across the library.
 
 The paper operates on the *brightness plane* of an image: a 2-D matrix of
-8-bit pixels that is promoted to floating point for the arithmetic stages.
-:class:`Image` wraps such a plane with the validation rules the sharpness
-pipeline requires (sides divisible by 4, minimum size),
+8-bit pixels.  Stages that read only the original (downscale, Sobel, the
+3x3 min/max) work on those 8-bit values in exact integers; the rest of the
+arithmetic is floating point.  :class:`Image` wraps such a plane with the
+validation rules the sharpness pipeline requires (sides divisible by 4,
+minimum size),
 :class:`SharpnessParams` carries the user-defined tuning parameters the paper
 mentions (sharpening gain/gamma for the brightness-strength step and the
 overshoot-control tuning factor), and :class:`FrameResult` is what every
@@ -23,9 +25,12 @@ if TYPE_CHECKING:
     from .core.config import OptimizationFlags
     from .simgpu.profiling import Timeline
 
-#: dtype used for all intermediate floating-point arithmetic.  The paper's
-#: OpenCL kernels compute in ``float``; float64 here keeps the CPU golden
-#: reference and the simulated kernels bit-identical without juggling ULPs.
+#: dtype of every floating-point plane (the downscaled, upscaled, pEdge,
+#: strength, preliminary and final planes, and every non-8-bit input).  The
+#: paper's OpenCL kernels compute in ``float``; float64 here keeps the CPU
+#: golden reference and the simulated kernels bit-identical without juggling
+#: ULPs.  An 8-bit input stays 8-bit: the stages that read only the original
+#: compute on it in integers whose float64 cast has the same bits.
 FLOAT = np.float64
 
 #: dtype of input/output pixel planes.
@@ -51,18 +56,7 @@ def validate_plane(array: np.ndarray) -> np.ndarray:
 
     Raises :class:`~repro.errors.ValidationError` on violation.
     """
-    arr = np.asarray(array)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a 2-D brightness plane, got ndim={arr.ndim}")
-    h, w = arr.shape
-    if h < MIN_SIDE or w < MIN_SIDE:
-        raise ValidationError(
-            f"image sides must be >= {MIN_SIDE}, got {h}x{w}"
-        )
-    if h % SCALE or w % SCALE:
-        raise ValidationError(
-            f"image sides must be divisible by {SCALE}, got {h}x{w}"
-        )
+    arr = _check_shape(np.asarray(array))
     out = arr.astype(FLOAT, copy=True)
     # Scans that cannot fail are skipped: integers hold no NaN, and every
     # uint8 value already lies in [0, 255].
@@ -78,28 +72,65 @@ def validate_plane(array: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _check_shape(arr: np.ndarray) -> np.ndarray:
+    """Raise :class:`~repro.errors.ValidationError` unless ``arr`` is a
+    2-D plane of a valid size; return it."""
+    if arr.ndim != 2:
+        raise ValidationError(f"expected a 2-D brightness plane, got ndim={arr.ndim}")
+    h, w = arr.shape
+    if h < MIN_SIDE or w < MIN_SIDE:
+        raise ValidationError(
+            f"image sides must be >= {MIN_SIDE}, got {h}x{w}"
+        )
+    if h % SCALE or w % SCALE:
+        raise ValidationError(
+            f"image sides must be divisible by {SCALE}, got {h}x{w}"
+        )
+    return arr
+
+
 class Image:
     """A validated single-channel brightness plane.
 
     Parameters
     ----------
     plane:
-        2-D array of pixels; stored as ``float64`` in [0, 255].
+        2-D array of pixels in [0, 255].  A ``uint8`` plane is copied once
+        and kept as 8-bit :attr:`pixels`; any other dtype is validated into
+        a ``float64`` copy, which is then both :attr:`pixels` and
+        :attr:`plane`.
     """
 
-    plane: np.ndarray
+    __slots__ = ("pixels", "_plane")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "plane", validate_plane(self.plane))
+    def __init__(self, plane: np.ndarray) -> None:
+        arr = np.asarray(plane)
+        self._plane: np.ndarray | None = None
+        if arr.dtype == PIXEL:
+            pixels = np.array(_check_shape(arr), order="C")
+        else:
+            pixels = self._plane = validate_plane(arr)
+        #: The frame as the executor reads it: ``uint8`` for an 8-bit
+        #: input, else the validated ``float64`` plane (then also
+        #: :attr:`plane`).  C-contiguous and owned by the image.
+        self.pixels = pixels
+
+    @property
+    def plane(self) -> np.ndarray:
+        """The pixels as ``float64``; an 8-bit image builds this copy on
+        first access."""
+        plane = self._plane
+        if plane is None:
+            plane = self._plane = self.pixels.astype(FLOAT)
+        return plane
 
     @property
     def height(self) -> int:
-        return int(self.plane.shape[0])
+        return int(self.pixels.shape[0])
 
     @property
     def width(self) -> int:
-        return int(self.plane.shape[1])
+        return int(self.pixels.shape[1])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -112,6 +143,8 @@ class Image:
 
     def to_u8(self) -> np.ndarray:
         """Return the plane rounded and clamped to ``uint8``."""
+        if self.pixels.dtype == PIXEL:
+            return self.pixels.copy()
         return np.clip(np.rint(self.plane), 0, 255).astype(PIXEL)
 
     @classmethod

@@ -9,7 +9,13 @@ from repro.algo import stages as algo
 from repro.cpu import naive
 from repro.errors import ValidationError
 
-from .conftest import assert_allclose
+from .conftest import (
+    U8_FRAMES,
+    assert_allclose,
+    assert_bytes_equal,
+    dirty,
+    u8_frame,
+)
 
 
 class TestDownscaleGolden:
@@ -74,3 +80,20 @@ class TestDownscaleProperties:
         combo = algo.downscale(0.25 * a + 0.5 * b)
         parts = 0.25 * algo.downscale(a) + 0.5 * algo.downscale(b)
         assert_allclose(combo, parts, atol=1e-10, context="linearity")
+
+
+class TestDownscaleU8:
+    """An 8-bit frame is summed in uint16 with the float64 frame's bits."""
+
+    @pytest.mark.parametrize("name", U8_FRAMES)
+    def test_matches_float(self, name):
+        frame = u8_frame(name)
+        h, w = frame.shape
+        ref = algo.downscale(frame.astype(np.float64))
+        assert_bytes_equal(algo.downscale(frame), ref, context=name)
+        # In scratch: the uint16 column sums are a view over the leading
+        # bytes of the float64 ``colsum``, larger here than needed.
+        out, colsum = dirty((h // 4, w // 4)), dirty((h + 8, w // 4))
+        got = algo.downscale(frame, out=out, colsum=colsum)
+        assert np.shares_memory(got, out)
+        assert_bytes_equal(got, ref, context=f"{name} in scratch")

@@ -10,7 +10,15 @@ from repro.cpu import naive
 from repro.errors import ValidationError
 from repro.types import SharpnessParams
 
-from .conftest import assert_allclose
+from .conftest import (
+    U8_FRAMES,
+    U8_STRIP,
+    assert_allclose,
+    assert_bytes_equal,
+    dirty,
+    u8_frame,
+    u8_row_ranges,
+)
 
 
 class TestStrengthMap:
@@ -91,6 +99,14 @@ class TestPreliminary:
         with pytest.raises(ValidationError):
             algo.perror(np.zeros((8, 8)), np.zeros((8, 4)))
 
+    @pytest.mark.parametrize("name", U8_FRAMES)
+    def test_perror_of_u8_matches_float(self, name):
+        frame = u8_frame(name)
+        up = algo.upscale(algo.downscale(frame))
+        assert_bytes_equal(algo.perror(frame, up),
+                           algo.perror(frame.astype(np.float64), up),
+                           context=name)
+
 
 class TestOvershootControl:
     def test_matches_naive(self, small_planes, params):
@@ -151,6 +167,50 @@ class TestOvershootControl:
         with pytest.raises(ValidationError):
             algo.overshoot_control(np.zeros((8, 8)), np.zeros((8, 4)),
                                    params)
+
+
+class TestMinMax3x3U8:
+    """The 3x3 extrema of an 8-bit frame are uint8, equal to the float64
+    frame's, and overshoot control blends them to the same bits."""
+
+    @pytest.mark.parametrize("name", U8_FRAMES)
+    def test_whole_frame_matches_float(self, name):
+        frame = u8_frame(name)
+        mn, mx = algo.minmax3x3(frame)
+        ref_mn, ref_mx = algo.minmax3x3(frame.astype(np.float64))
+        assert mn.dtype == mx.dtype == np.uint8
+        assert_bytes_equal(mn.astype(np.float64), ref_mn, context=name)
+        assert_bytes_equal(mx.astype(np.float64), ref_mx, context=name)
+
+    @pytest.mark.parametrize("name", U8_FRAMES)
+    def test_row_ranges_match_float(self, name):
+        frame = u8_frame(name)
+        h, w = frame.shape
+        ref_mn, ref_mx = algo.minmax3x3(frame.astype(np.float64))
+        n = U8_STRIP
+        scratch = dict(mn=dirty((n, w - 2)), mx=dirty((n, w - 2)),
+                       mnc=dirty((n + 2, w - 2)), mxc=dirty((n + 2, w - 2)))
+        for r0, r1 in u8_row_ranges(h):
+            mn, mx = algo.minmax3x3(frame, r0, r1, **scratch)
+            assert mn.dtype == mx.dtype == np.uint8
+            ctx = f"{name} rows [{r0}, {r1})"
+            assert_bytes_equal(mn.astype(np.float64),
+                               ref_mn[r0 - 1:r1 - 1], context=ctx)
+            assert_bytes_equal(mx.astype(np.float64),
+                               ref_mx[r0 - 1:r1 - 1], context=ctx)
+
+    @pytest.mark.parametrize("name", U8_FRAMES)
+    def test_overshoot_blend_matches_float(self, name, params):
+        frame = u8_frame(name)
+        h, w = frame.shape
+        prelim = np.random.default_rng(2).uniform(-60, 320, (h - 2, w - 2))
+        outs = []
+        for src in (frame, frame.astype(np.float64)):
+            final = np.zeros((h, w))
+            mn, mx = algo.minmax3x3(src)
+            algo.overshoot_rows(prelim, mn, mx, params.overshoot, final, 1)
+            outs.append(final)
+        assert_bytes_equal(*outs, context=name)
 
 
 class TestFullPipeline:

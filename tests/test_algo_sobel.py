@@ -9,7 +9,15 @@ from repro.algo import stages as algo
 from repro.cpu import naive
 from repro.errors import ValidationError
 
-from .conftest import assert_allclose
+from .conftest import (
+    U8_FRAMES,
+    U8_STRIP,
+    assert_allclose,
+    assert_bytes_equal,
+    dirty,
+    u8_frame,
+    u8_row_ranges,
+)
 
 
 class TestSobelGolden:
@@ -78,6 +86,32 @@ class TestSobelProperties:
         plane = np.random.default_rng(seed).uniform(0, 55, (20, 20))
         assert_allclose(algo.sobel(plane + offset), algo.sobel(plane),
                         atol=1e-8, context="shift invariance")
+
+
+class TestSobelU8:
+    """An 8-bit frame runs in int16 with the float64 frame's bits."""
+
+    @pytest.mark.parametrize("name", U8_FRAMES)
+    def test_whole_frame_matches_float(self, name):
+        frame = u8_frame(name)
+        assert_bytes_equal(algo.sobel(frame),
+                           algo.sobel(frame.astype(np.float64)),
+                           context=name)
+
+    @pytest.mark.parametrize("name", U8_FRAMES)
+    def test_row_ranges_match_float(self, name):
+        frame = u8_frame(name)
+        h, w = frame.shape
+        ref = algo.sobel(frame.astype(np.float64))
+        # One strip's float64 scratch, recycled dirty across the ranges.
+        n = U8_STRIP
+        scratch = dict(tcol=dirty((n, w)), urow=dirty((n + 2, w - 2)),
+                       gx=dirty((n, w - 2)), gy=dirty((n, w - 2)))
+        edge = np.zeros((h, w))
+        for r0, r1 in u8_row_ranges(h):
+            algo.sobel_rows(frame, edge, r0, r1, **scratch)
+            assert_bytes_equal(edge[r0:r1], ref[r0:r1],
+                               context=f"{name} rows [{r0}, {r1})")
 
 
 class TestReduction:

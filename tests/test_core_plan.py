@@ -5,6 +5,7 @@ import io
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from repro.core import (
 from repro.cpu import CPUPipeline
 from repro.errors import ConfigError, KernelLaunchFault
 from repro.obs import RunContext
+from repro.obs.runctx import NULL_CONTEXT
 from repro.simgpu.device import W8000
-from repro.types import Image
+from repro.types import Image, SharpnessParams
 from repro.util import images
 
 
@@ -207,6 +209,75 @@ class TestStripExecutor:
             assert cpu_one.edge_mean == cpu_many.edge_mean == \
                 canon["edge_mean"]
         assert strips.STRIP_LANES.busy() == 0
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_u8_strips_on_two_lanes(self, monkeypatch, rows):
+        # Strips of 1 and 3 rows (34 interior rows: the 3-row strips end
+        # in a ragged one) on two lanes, for 8-bit frames.
+        _small_strips(monkeypatch, rows, 2)
+        frames = [_frame((36, 64), "u8", seed=s) for s in (1, 2)]
+        pipe = GPUPipeline(OPTIMIZED)
+        pipe.run(frames[0])  # capture
+        generic = GPUPipeline(OPTIMIZED, caching=False)
+        for f in frames:
+            got = pipe.run(f)
+            cpu = CPUPipeline().run(f)
+            ref = generic.run(f)
+            canon = algo.sharpen(f)
+            for res in (got, cpu):
+                assert np.array_equal(res.final, ref.final)
+                assert np.array_equal(res.final, canon["final"])
+                assert res.edge_mean == ref.edge_mean == canon["edge_mean"]
+        (ws,) = pipe.buffer_pool._idle[(36, 64)]
+        assert ws.strip == rows and len(ws.lanes) == 2
+        assert strips.STRIP_LANES.busy() == 0
+
+
+def _traced_peak(fn):
+    """``(result, peak)``: what ``fn()`` returns, and the most memory
+    traced above the level at its start while it ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+class TestStripAllocations:
+    """A warm frame allocates its output plane, the 8-bit image's own copy
+    of its pixels, and less than one strip's scratch worth of
+    temporaries."""
+
+    @pytest.mark.parametrize("kind", ["u8", "float"])
+    @pytest.mark.parametrize("side", [512, 1024])
+    def test_warm_strips_run(self, monkeypatch, side, kind):
+        monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(2))
+        frame = Image.from_array(_frame((side, side), kind, seed=4)).pixels
+        ws = strips.Workspace(side, side)
+        params = SharpnessParams()
+
+        def run():
+            ws.reset()
+            return strips.run(frame, params, ws, (), NULL_CONTEXT.trace)
+
+        run()  # warm: both lanes' scratch and the helper thread
+        (final, _), peak = _traced_peak(run)
+        assert peak - final.nbytes < strips.STRIP_BYTES
+
+    @pytest.mark.parametrize("side", [512, 1024])
+    def test_warm_gpu_run_of_u8(self, monkeypatch, side):
+        monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(2))
+        frame = _frame((side, side), "u8", seed=4)
+        pipe = GPUPipeline(OPTIMIZED)
+        pipe.run(frame)  # capture
+        pipe.run(frame)  # warm the pooled workspace's lanes
+        result, peak = _traced_peak(lambda: pipe.run(frame))
+        assert pipe.plan_cache.stats()["hits"] == 2
+        assert peak < result.final.nbytes + frame.size + strips.STRIP_BYTES
 
 
 class TestStripConcurrency:

@@ -95,6 +95,62 @@ class TestImage:
             Image.from_array(np.zeros((15, 16)))
 
 
+class TestImageU8:
+    """An 8-bit image keeps its own 8-bit copy; the float64 plane is built
+    on first access."""
+
+    def test_pixels_are_an_owned_u8_copy(self):
+        src = np.arange(16 * 20, dtype=np.uint8).reshape(16, 20)
+        img = Image.from_array(src)
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.flags.c_contiguous
+        assert not np.shares_memory(img.pixels, src)
+        expected = src.copy()
+        src[...] = 7
+        assert np.array_equal(img.pixels, expected)
+        assert np.array_equal(img.plane, expected)
+
+    def test_non_contiguous_input_is_made_contiguous(self):
+        src = np.arange(32 * 16, dtype=np.uint8).reshape(32, 16).T
+        img = Image(plane=src)
+        assert img.pixels.flags.c_contiguous
+        assert np.array_equal(img.pixels, src)
+
+    def test_plane_is_float64_and_equal(self):
+        src = np.random.default_rng(0).integers(0, 256, (16, 24),
+                                                dtype=np.uint8)
+        img = Image.from_array(src)
+        assert img.plane.dtype == FLOAT
+        assert np.array_equal(img.plane, src)
+        assert img.plane is img.plane  # built once
+        assert img.shape == (16, 24)
+
+    def test_to_u8_equals_pixels(self):
+        src = np.random.default_rng(1).integers(0, 256, (16, 16),
+                                                dtype=np.uint8)
+        img = Image.from_array(src)
+        out = img.to_u8()
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, img.pixels)
+        out[...] = 0  # the caller owns the result
+        assert np.array_equal(img.pixels, src)
+
+    def test_float_pixels_are_the_plane(self):
+        img = Image.from_array(np.full((16, 16), 3.5))
+        assert img.pixels is img.plane
+        assert img.pixels.dtype == FLOAT
+
+    @pytest.mark.parametrize("shape", [(15, 16), (18, 16), (16, 16, 3)],
+                             ids=str)
+    def test_invalid_shape_raises_like_float(self, shape):
+        errors = []
+        for dtype in (np.uint8, FLOAT):
+            with pytest.raises(ValidationError) as info:
+                Image.from_array(np.zeros(shape, dtype=dtype))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
 class TestSharpnessParams:
     def test_defaults_valid(self):
         p = SharpnessParams()
