@@ -15,10 +15,11 @@ MODE_FUNCTIONAL = "functional"
 #: Kernel bodies run work-item by work-item through the emulator with real
 #: barriers/local memory.  Slow — for small-size correctness tests.
 MODE_EMULATE = "emulate"
-#: Kernel bodies are skipped entirely; only the cost model runs.  The
-#: timeline is identical to the functional mode's (costs are
-#: content-independent) but pixel outputs are meaningless — for timing
-#: studies at sizes where computing real pixels would be wasteful.
+#: Kernel bodies are skipped entirely and transfers move no data; only the
+#: cost model runs.  The timeline and transfer bytes are identical to the
+#: functional mode's (costs are content-independent) but every buffer and
+#: read-back stays zero — for timing studies, and for capturing an
+#: execution plan on a plan-cache miss.
 MODE_DRYRUN = "dryrun"
 
 _MODES = (MODE_FUNCTIONAL, MODE_EMULATE, MODE_DRYRUN)
@@ -32,7 +33,8 @@ class Context:
     device:
         The simulated device (defaults to the paper's FirePro W8000).
     mode:
-        Kernel execution mode, ``"functional"`` or ``"emulate"``.
+        Kernel execution mode, ``"functional"``, ``"emulate"`` or
+        ``"dryrun"``.
     """
 
     def __init__(self, device: DeviceSpec = W8000,

@@ -17,6 +17,12 @@ Mirrors the subset of ``clEnqueue*`` the paper's host code uses:
 The queue is in-order and non-overlapping, matching the paper's description
 that kernels "have to be executed serially through global synchronization".
 
+In ``MODE_DRYRUN`` (:attr:`CommandQueue.dry`) every command is checked,
+fault-injected, priced and counted exactly as in the functional mode, but
+nothing moves: kernel bodies are skipped, writes copy nothing and reads
+return zeros.  The timeline and ``transfer_bytes`` are those of a
+functional run, which is how a plan-cache miss captures its plan.
+
 The queue-level metrics are written per frame from its timeline by
 :func:`record_commands`, not per command, so a generic frame and a
 replayed one (which never touches a queue) write the same series.
@@ -88,6 +94,11 @@ class CommandQueue:
         #: :func:`record_commands` read it).
         self.transfer_bytes: dict[str, int] = {"h2d": 0, "d2h": 0}
 
+    @property
+    def dry(self) -> bool:
+        """``MODE_DRYRUN``: commands are priced and counted, no data moves."""
+        return self.context.mode == MODE_DRYRUN
+
     # -- internals -----------------------------------------------------------
 
     def _check_alive(self) -> None:
@@ -121,6 +132,12 @@ class CommandQueue:
                 sim_us=duration * 1e6,
             )
 
+    def _read(self, buf: Buffer) -> np.ndarray:
+        """A host copy of ``buf``; a dry run's is untouched zeros."""
+        if self.dry:
+            return np.zeros(buf.shape, dtype=buf.data.dtype)
+        return buf.mem.read()
+
     def _note_transfer(self, direction: str, nbytes: int) -> None:
         self.transfer_bytes[direction] += nbytes
 
@@ -135,7 +152,8 @@ class CommandQueue:
         self._check_alive()
         self._check_buffer(buf)
         self._maybe_fault("transfer", f"write:{buf.name}")
-        buf.mem.write(np.asarray(host))
+        if not self.dry:
+            buf.mem.write(np.asarray(host))
         duration = self.context.device.pcie.rw_time(buf.nbytes)
         self._note_transfer("h2d", buf.nbytes)
         self._record(f"write:{buf.name}", "transfer", duration, stage)
@@ -146,7 +164,7 @@ class CommandQueue:
         self._check_alive()
         self._check_buffer(buf)
         self._maybe_fault("transfer", f"read:{buf.name}")
-        host = buf.mem.read()
+        host = self._read(buf)
         duration = self.context.device.pcie.rw_time(buf.nbytes)
         self._note_transfer("d2h", buf.nbytes)
         self._record(f"read:{buf.name}", "transfer", duration, stage)
@@ -175,7 +193,7 @@ class CommandQueue:
         self._note_transfer("d2h", buf.nbytes)
         self._record(f"map-read:{buf.name}", "transfer", duration, stage)
         self._pending_maps[id(buf)] = (buf, None, stage)
-        return buf.mem.read()
+        return self._read(buf)
 
     def enqueue_unmap(self, buf: Buffer, mapped: np.ndarray | None = None,
                       *, stage: str = "transfer") -> None:
@@ -188,8 +206,9 @@ class CommandQueue:
             raise MapError(f"{buf.name}: unmap without map") from None
         buf.end_map()
         if staging is not None:
-            source = mapped if mapped is not None else staging
-            buf.mem.write(np.asarray(source))
+            if not self.dry:
+                source = mapped if mapped is not None else staging
+                buf.mem.write(np.asarray(source))
             duration = self.context.device.pcie.map_time(buf.nbytes)
             self._note_transfer("h2d", buf.nbytes)
             self._record(
@@ -224,7 +243,8 @@ class CommandQueue:
                 f"{buf.name}: rect {host.shape} at origin {dst_origin} "
                 f"exceeds buffer {buf.shape}"
             )
-        buf.data[r0:r0 + rows, c0:c0 + cols] = host
+        if not self.dry:
+            buf.data[r0:r0 + rows, c0:c0 + cols] = host
         nbytes = host.size * buf.mem.transfer_itemsize
         duration = self.context.device.pcie.rect_time(nbytes, rows)
         self._note_transfer("h2d", nbytes)
@@ -254,7 +274,7 @@ class CommandQueue:
         cost = spec.cost(device, global_size, local_size, kernel.args)
         duration = kernel_time(cost, device)
 
-        if self.context.mode == MODE_DRYRUN:
+        if self.dry:
             pass  # time-only: skip the kernel body
         elif self.context.mode == MODE_EMULATE and spec.emulator is not None:
             local_decl = (

@@ -3,12 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.core import BASE, OPTIMIZED, GPUPipeline
+from repro.core import BASE, LADDER, OPTIMIZED, GPUPipeline
 from repro.errors import ConfigError
 from repro.experiments import calibrate
+from repro.obs.runctx import NULL_CONTEXT
 from repro.simgpu.device import I5_3470, W8000
 from repro.types import Image
 from repro.util import images
+
+#: ``(shape, reduction_stage2 override)``: square, rectangular, the ragged
+#: strip shape of the digest tests, the two-level GPU reduction chain, and
+#: one frame each side of the 768x768 border crossover.
+_DRY_SHAPES = [
+    ((64, 64), None),
+    ((48, 96), None),
+    ((68, 2048), None),
+    ((1024, 1028), "gpu"),
+    ((764, 764), None),
+    ((768, 768), None),
+]
 
 
 class TestDryRunMode:
@@ -19,6 +32,31 @@ class TestDryRunMode:
             d = GPUPipeline(flags, mode="dryrun").run(img)
             assert d.total_time == pytest.approx(f.total_time, rel=1e-12)
             assert d.times.times == pytest.approx(f.times.times, rel=1e-12)
+
+    @pytest.mark.parametrize("shape,stage2", _DRY_SHAPES,
+                             ids=[f"{h}x{w}" for (h, w), _ in _DRY_SHAPES])
+    @pytest.mark.parametrize("flags", [f for _, f in LADDER],
+                             ids=[n for n, _ in LADDER])
+    def test_events_and_bytes_equal_functional_exactly(self, flags, shape,
+                                                       stage2):
+        """A cached pipeline's plan comes from a dry run: its events and
+        transfer bytes must be the functional run's, bit for bit."""
+        if stage2 is not None:
+            flags = flags.with_(reduction_stage2=stage2)
+        img = Image.from_array(images.natural_like(*shape, seed=3))
+        # A plan-eligible pipeline runs the generic host code dry.
+        dry, dry_queue = GPUPipeline(flags)._run_instrumented(
+            img, NULL_CONTEXT)
+        ref, ref_queue = GPUPipeline(flags, caching=False)._run_instrumented(
+            img, NULL_CONTEXT)
+
+        def events(result):
+            return [(ev.name, ev.kind, ev.stage, ev.duration)
+                    for ev in result.timeline.events]
+
+        assert events(dry) == events(ref)
+        assert dry_queue.transfer_bytes == ref_queue.transfer_bytes
+        assert np.all(dry.final == 0.0)
 
     def test_dryrun_skips_kernel_bodies(self):
         img = Image.from_array(images.natural_like(64, 64, seed=3))

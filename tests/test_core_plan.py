@@ -24,6 +24,7 @@ from repro.cpu import CPUPipeline
 from repro.errors import ConfigError, KernelLaunchFault
 from repro.obs import RunContext
 from repro.obs.runctx import NULL_CONTEXT
+from repro.resilience.faults import FaultPlan, SiteSpec
 from repro.simgpu.device import W8000
 from repro.types import Image, SharpnessParams
 from repro.util import images
@@ -512,3 +513,90 @@ class TestPlanObservability:
         # timeline, so each kernel's duration sum doubles to the last bit.
         for key, value in lines_once.items():
             assert lines_twice[key] == 2 * value, key
+
+
+class TestCaptureFrame:
+    """A cold key is captured by a dry run and its frame is served by the
+    same replay as every hit."""
+
+    @staticmethod
+    def _spy_sites(monkeypatch):
+        """Record every ``FaultPlan.check`` as ``(site, detail)``."""
+        sites = []
+        real = FaultPlan.check
+
+        def check(plan, site, obs=None, *, detail="", **kwargs):
+            sites.append((site, detail))
+            return real(plan, site, obs, detail=detail, **kwargs)
+
+        monkeypatch.setattr(FaultPlan, "check", check)
+        return sites
+
+    @staticmethod
+    def _obs(faults=None):
+        return RunContext.create("capture-test", log_level="warning",
+                                 log_stream=io.StringIO(), faults=faults)
+
+    @pytest.mark.parametrize("flags", [f for _, f in LADDER],
+                             ids=[n for n, _ in LADDER])
+    def test_fault_sites_in_uncached_order(self, monkeypatch, frames, flags):
+        sites = self._spy_sites(monkeypatch)
+        # A plan whose only site (worker) a pipeline never passes, so
+        # every check the spy sees returns without a fault.
+        faults = FaultPlan({"worker": SiteSpec(rate=1.0)})
+        GPUPipeline(flags, caching=False,
+                    obs=self._obs(faults)).run(frames[0])
+        uncached = sites[:]
+        sites.clear()
+        pipe = GPUPipeline(flags, obs=self._obs(faults))
+        pipe.run(frames[0])
+        cold = sites[:]
+        sites.clear()
+        pipe.run(frames[0])
+        warm = sites[:]
+
+        lease = ("oom", "checkout:64x64")
+        assert len(uncached) > 2
+        assert lease not in uncached
+        # The dry run passes the queue's real sites in the uncached order;
+        # then the replay leases its workspace.
+        assert cold == uncached + [lease]
+        assert warm == [("transfer", "plan-replay"),
+                        ("kernel", "plan-replay"), lease]
+
+    def test_cold_frame_writes_the_uncached_queue_series(self, frames):
+        def queue_lines(caching):
+            obs = self._obs()
+            GPUPipeline(OPTIMIZED, obs=obs, caching=caching).run(frames[0])
+            return [line for line in
+                    obs.metrics.to_prometheus_text().splitlines()
+                    if "repro_cl_" in line]
+
+        uncached = queue_lines(False)
+        assert any(line.startswith("repro_cl_kernel_seconds_sum")
+                   for line in uncached)
+        assert queue_lines(True) == uncached
+
+    def test_failed_dry_run_caches_nothing(self, frames):
+        faults = FaultPlan({"kernel": SiteSpec(rate=1.0, kind="permanent",
+                                               max_faults=1)})
+        pipe = GPUPipeline(OPTIMIZED, obs=self._obs(faults))
+        with pytest.raises(KernelLaunchFault):
+            pipe.run(frames[0])
+        assert len(pipe.plan_cache) == 0
+        assert pipe.buffer_pool.stats()["created"] == 0
+        got = pipe.run(frames[0])
+        assert pipe.plan_cache.stats() == {"hits": 0, "misses": 2,
+                                           "size": 1}
+        ref = GPUPipeline(OPTIMIZED, caching=False).run(frames[0])
+        assert np.array_equal(got.final, ref.final)
+        assert got.edge_mean == ref.edge_mean
+
+    @pytest.mark.parametrize("flags", [f for _, f in LADDER],
+                             ids=[n for n, _ in LADDER])
+    def test_cold_u8_run_leaves_float_plane_unbuilt(self, flags):
+        image = Image.from_array(_frame((64, 64), "u8", seed=2))
+        got = GPUPipeline(flags).run(image)
+        assert image._plane is None
+        assert np.array_equal(
+            got.final, GPUPipeline(flags, caching=False).run(image).final)
