@@ -30,7 +30,7 @@ class TestOutputCorrectness:
     def test_every_ladder_step_matches_reference(self, image, reference,
                                                  step):
         flags = dict(LADDER)[step]
-        res = GPUPipeline(flags).run(image)
+        res = GPUPipeline(flags, caching=False).run(image)
         assert_allclose(res.final, reference["final"], atol=1e-9,
                         context=f"ladder step {step}")
         assert res.edge_mean == pytest.approx(reference["edge_mean"],
@@ -51,21 +51,21 @@ class TestOutputCorrectness:
             reduction_on_gpu=red_gpu,
             vectorize=vec,
         )
-        res = GPUPipeline(flags).run(image)
+        res = GPUPipeline(flags, caching=False).run(image)
         assert_allclose(res.final, reference["final"], atol=1e-9,
                         context=f"flags {flags.describe()}")
 
     @pytest.mark.parametrize("border_place", ["cpu", "gpu", "auto"])
     def test_border_placements_match(self, image, reference, border_place):
         flags = OPTIMIZED.with_(border_place=border_place)
-        res = GPUPipeline(flags).run(image)
+        res = GPUPipeline(flags, caching=False).run(image)
         assert_allclose(res.final, reference["final"], atol=1e-9,
                         context=f"border {border_place}")
 
     @pytest.mark.parametrize("unroll", [0, 1, 2])
     def test_reduction_unrolls_match(self, image, reference, unroll):
         flags = OPTIMIZED.with_(reduction_unroll=unroll)
-        res = GPUPipeline(flags).run(image)
+        res = GPUPipeline(flags, caching=False).run(image)
         assert res.edge_mean == pytest.approx(reference["edge_mean"],
                                               rel=1e-9)
 
@@ -73,7 +73,7 @@ class TestOutputCorrectness:
     def test_reduction_stage2_placements_match(self, image, reference,
                                                stage2):
         flags = OPTIMIZED.with_(reduction_stage2=stage2)
-        res = GPUPipeline(flags).run(image)
+        res = GPUPipeline(flags, caching=False).run(image)
         assert res.edge_mean == pytest.approx(reference["edge_mean"],
                                               rel=1e-9)
 
@@ -202,6 +202,6 @@ class TestParamsAndInputs:
     def test_rectangular_image(self):
         from repro.util import images
         plane = images.natural_like(32, 64, seed=3)
-        res = GPUPipeline(OPTIMIZED).run(plane)
+        res = GPUPipeline(OPTIMIZED, caching=False).run(plane)
         assert_allclose(res.final, algo.sharpen(plane)["final"], atol=1e-9,
                         context="rectangular")

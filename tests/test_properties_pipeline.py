@@ -31,7 +31,8 @@ class TestPipelineProperties:
     @settings(max_examples=15, deadline=None)
     def test_gpu_matches_reference_any_shape(self, h, w, seed):
         plane = _plane(h, w, seed)
-        res = GPUPipeline(OPTIMIZED).run(Image.from_array(plane))
+        res = GPUPipeline(OPTIMIZED, caching=False).run(
+            Image.from_array(plane))
         assert_allclose(res.final, algo.sharpen(plane)["final"],
                         atol=1e-9, context=f"{h}x{w} seed={seed}")
 
@@ -40,8 +41,8 @@ class TestPipelineProperties:
     def test_base_and_optimized_agree_for_any_params(self, seed, params):
         plane = _plane(32, 32, seed)
         img = Image.from_array(plane)
-        base = GPUPipeline(BASE, params).run(img)
-        opt = GPUPipeline(OPTIMIZED, params).run(img)
+        base = GPUPipeline(BASE, params, caching=False).run(img)
+        opt = GPUPipeline(OPTIMIZED, params, caching=False).run(img)
         assert_allclose(base.final, opt.final, atol=1e-9,
                         context="base vs optimized")
 
