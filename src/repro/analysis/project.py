@@ -45,10 +45,13 @@ BUILTIN_RAISES = {
     "OSError", "IOError", "Exception", "BaseException", "ArithmeticError",
 }
 
-#: Module paths (relative to the package root) that are replayed from
-#: cached plans and therefore must be deterministic (PL-TIME).
-REPLAYED_PREFIXES = ("simgpu/", "kernels/", "core/plan.py",
-                     "algo/strips.py", "algo/stages.py")
+#: Module paths (relative to the package root) that capture plans by dry
+#: run or replay them, and therefore must be deterministic (PL-TIME).
+REPLAYED_PREFIXES = ("simgpu/", "kernels/", "cl/", "core/plan.py",
+                     "core/pipeline.py", "core/transfer.py",
+                     "core/heuristics.py", "core/fusion.py",
+                     "core/metrics.py", "core/bufferpool.py",
+                     "cpu/cost.py", "algo/strips.py", "algo/stages.py")
 
 #: Calls that read the wall clock or ambient randomness.
 _CLOCK_CALLS = {

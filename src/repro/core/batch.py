@@ -15,12 +15,13 @@ All workers run one :class:`~repro.core.pipeline.GPUPipeline` (wrapped in
 one :class:`~repro.resilience.FallbackPipeline` under resilience) over one
 :class:`~repro.core.plan.PlanCache` and one
 :class:`~repro.core.bufferpool.BufferPool`, so the first frame of a shape
-pays the generic setup cost once and every later frame replays the captured
-plan through pooled buffers.  The pipeline keeps no per-frame state, and
-the shared pieces (plan cache, buffer pool, breaker, retry budget) take
-locks; the caller's :class:`~repro.obs.RunContext` sinks are thread-safe
-too, so a traced batch shows each frame as a ``batch.frame`` span (a
-child of ``batch.run``) on the row of the worker that served it.
+pays a dry-run capture of its plan once and every frame, the first
+included, replays that plan through pooled buffers.  The pipeline keeps no
+per-frame state, and the shared pieces (plan cache, buffer pool, breaker,
+retry budget) take locks; the caller's :class:`~repro.obs.RunContext`
+sinks are thread-safe too, so a traced batch shows each frame as a
+``batch.frame`` span (a child of ``batch.run``) on the row of the worker
+that served it.
 
 Throughput telemetry lands in the shared registry:
 
@@ -28,7 +29,9 @@ Throughput telemetry lands in the shared registry:
   ``repro_batch_frames_total`` — wall-clock engine throughput;
 * ``repro_plan_cache_requests_total{outcome}`` — plan hit/miss counters
   (recorded per frame by the engine's pipeline);
-* ``repro_bufferpool_in_use`` / ``repro_bufferpool_idle`` — pool occupancy.
+* ``repro_bufferpool_in_use`` / ``repro_bufferpool_idle`` — pool occupancy
+  (:meth:`~repro.core.bufferpool.BufferPool.publish`, after every replayed
+  frame and at the end of the run).
 """
 
 from __future__ import annotations
@@ -553,10 +556,7 @@ class BatchEngine:
                 "repro_batch_frames_total",
                 "Frames processed by the batch engine",
             ).inc(result.n_frames)
-            metrics.gauge(
-                "repro_bufferpool_idle",
-                "Idle workspaces parked in the buffer pool",
-            ).set(result.pool_stats["idle"])
+            self.buffer_pool.publish(obs)
             obs.log.info(
                 "batch.complete", frames=result.n_frames,
                 workers=self.workers,

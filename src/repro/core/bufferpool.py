@@ -96,6 +96,24 @@ class BufferPool:
                 "discarded": self.discarded,
             }
 
+    def publish(self, obs) -> None:
+        """Set ``obs``'s ``repro_bufferpool_in_use`` / ``_idle`` gauges.
+
+        Read and set under the pool's lock, so concurrent writers cannot
+        interleave: the last write shows the pool as it stands."""
+        if not obs.enabled:
+            return
+        metrics = obs.metrics
+        with self._lock:
+            metrics.gauge(
+                "repro_bufferpool_in_use",
+                "Workspaces currently checked out of the buffer pool",
+            ).set(self.in_use)
+            metrics.gauge(
+                "repro_bufferpool_idle",
+                "Idle workspaces parked in the buffer pool",
+            ).set(sum(len(s) for s in self._idle.values()))
+
 
 class _Lease:
     """Context manager backing :meth:`BufferPool.lease`."""

@@ -22,7 +22,8 @@ by replaying the plan through the
 :class:`~repro.core.bufferpool.BufferPool` —
 bit-identical output, identical simulated timeline, a fraction of the host
 cost (see ``docs/performance.md``; ``caching=False`` runs every kernel
-body on every frame).
+body on every frame).  Either way ``GPUPipeline.run`` builds the result and
+writes the frame's telemetry from a plan plus pixels, in one place.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from . import heuristics
 from .bufferpool import BufferPool
 from .config import OPTIMIZED, OptimizationFlags
 from .fusion import build_kernel_set
-from .metrics import GPU_STAGE_ORDER, stage_times_from_timeline
+from .metrics import GPU_STAGE_ORDER
 from .plan import ExecutionPlan, PlanCache, PlanKey, _reduction_levels
 from .transfer import TransferPlanner
 
@@ -74,8 +75,11 @@ class GPUPipeline:
     device / cpu:
         Hardware specs (Table I defaults).
     mode:
-        ``"functional"`` (fast) or ``"emulate"`` (per-work-item, small
-        images only).
+        ``"functional"`` (fast), ``"emulate"`` (per-work-item, small
+        images only) or ``"dryrun"`` (every command enqueued and priced,
+        no kernel body run: the simulated timeline of a frame whose
+        ``final`` stays all zeros, as the calibration and portability
+        sweeps use it).
     obs:
         Optional :class:`~repro.obs.RunContext`.  When given, every run
         emits host spans per stage, merges the simulated device timeline
@@ -92,10 +96,10 @@ class GPUPipeline:
         copies); every run, the first included, replays it through pooled
         buffers, producing bit-identical images, the same simulated
         timeline, and the same metrics at a fraction of the wall-clock
-        cost.  ``caching=False`` restores the plan-free per-frame
-        behaviour, every kernel body run (the throughput benchmark's
-        baseline and the bit-identity oracle).  Emulate/dry-run modes
-        always take the generic path.
+        cost.  ``caching=False`` runs every kernel body on every frame
+        (the throughput benchmark's baseline and the bit-identity oracle);
+        emulate/dry-run modes always do.  Either way a frame ends as a
+        plan plus its pixels.
     plan_cache / buffer_pool:
         Share a :class:`~repro.core.plan.PlanCache` /
         :class:`~repro.core.bufferpool.BufferPool` across pipelines (the
@@ -159,18 +163,25 @@ class GPUPipeline:
         if not isinstance(image, Image):
             image = Image.from_array(np.asarray(image))
         obs = self.obs
+        cached = self._plan_eligible()
         with obs.trace.span("gpu.run", pipeline=self.label,
                             h=image.height, w=image.width, mode=self.mode):
-            key = self._plan_key(image) if self._plan_eligible() else None
-            if key is None:
-                result, _ = self._run_instrumented(image, obs)
+            if not cached:
+                plan, final, edge_mean = self._run_instrumented(image, obs)
             else:
                 def capture():
                     self._count_lookup(obs, "miss")
-                    result, queue = self._run_instrumented(image, obs)
-                    return self._capture_plan(key, result, queue)
+                    plan, _, _ = self._run_instrumented(image, obs)
+                    if obs.enabled:
+                        obs.log.debug(
+                            "plan.captured", pipeline=self.label,
+                            h=image.height, w=image.width,
+                            levels=len(plan.reduction_levels),
+                        )
+                    return plan
 
-                plan, hit = self.plan_cache.get_or_capture(key, capture)
+                plan, hit = self.plan_cache.get_or_capture(
+                    self._plan_key(image), capture)
                 if hit:
                     self._count_lookup(obs, "hit")
                     if obs.faults is not None:
@@ -182,7 +193,24 @@ class GPUPipeline:
                         obs.faults.check("transfer", obs,
                                          detail="plan-replay")
                         obs.faults.check("kernel", obs, detail="plan-replay")
-                result = self._run_planned(image, plan, obs)
+                with self.buffer_pool.lease(image.height, image.width) as ws:
+                    final, edge_mean = plan.execute(
+                        image.pixels, self.params, ws, trace=obs.trace)
+            # Simulated costs never depend on pixel values, so every frame's
+            # timeline, stage times and placements come from its plan.
+            record_commands(obs, plan.timeline, plan.transfer_bytes)
+            if cached:
+                self.buffer_pool.publish(obs)
+        result = FrameResult(
+            final=final,
+            times=plan.times,
+            timeline=plan.timeline,
+            edge_mean=edge_mean,
+            flags=self.flags,
+            border_ran_on_gpu=plan.border_gpu,
+            reduction_stage2_on_gpu=plan.stage2_gpu,
+            kernel_launches=plan.kernel_launches,
+        )
         obs.record_frame(
             self.label, result, GPU_STAGE_ORDER, self.device.name,
             h=image.height, w=image.width,
@@ -209,69 +237,23 @@ class GPUPipeline:
             device=self.device, cpu=self.cpu, mode=self.mode,
         )
 
-    def _capture_plan(self, key: PlanKey, result: FrameResult,
-                      queue: CommandQueue) -> ExecutionPlan:
-        plan = ExecutionPlan(key, result.timeline, queue.transfer_bytes)
-        if self.obs.enabled:
-            self.obs.log.debug(
-                "plan.captured", pipeline=self.label,
-                h=key.height, w=key.width,
-                levels=len(plan.reduction_levels),
-            )
-        return plan
-
-    def _run_planned(self, image: Image, plan: ExecutionPlan,
-                     obs) -> FrameResult:
-        """Replay a cached plan: pooled buffers, zero per-frame setup.
-
-        Serves every frame of a cached pipeline, the capturing one
-        included.  Pixels come from the plan's specialized executor
-        (bit-identical to the generic path); the timeline/stage times are
-        the capture's immutable template, valid because simulated costs
-        never depend on pixel values, and the queue-level metrics are
-        written from it just as the generic run writes them from its own.
-        """
-        pool = self.buffer_pool
-        with pool.lease(image.height, image.width) as ws:
-            final, edge_mean = plan.execute(image.pixels, self.params, ws,
-                                            trace=obs.trace)
-        record_commands(obs, plan.timeline, plan.transfer_bytes)
-        if obs.enabled:
-            stats = pool.stats()
-            obs.metrics.gauge(
-                "repro_bufferpool_in_use",
-                "Workspaces currently checked out of the buffer pool",
-            ).set(stats["in_use"])
-            obs.metrics.gauge(
-                "repro_bufferpool_idle",
-                "Idle workspaces parked in the buffer pool",
-            ).set(stats["idle"])
-        return FrameResult(
-            final=final,
-            times=plan.times,
-            timeline=plan.timeline,
-            edge_mean=edge_mean,
-            flags=self.flags,
-            border_ran_on_gpu=plan.border_gpu,
-            reduction_stage2_on_gpu=plan.stage2_gpu,
-            kernel_launches=plan.kernel_launches,
-        )
-
-    def _run_instrumented(self, image: Image,
-                          obs) -> tuple[FrameResult, CommandQueue]:
+    def _run_instrumented(self, image: Image, obs
+                          ) -> tuple[ExecutionPlan, np.ndarray, float]:
         """The generic host code: every command through a fresh queue.
 
-        A plan-eligible pipeline calls this only to capture a plan, so it
-        runs the queue in ``MODE_DRYRUN`` over a zero-stride placeholder
-        of the frame's shape: the same commands, fault sites, timeline and
-        transfer bytes as a functional run, with no kernel body, no device
-        copy and no ``repro_cl_*`` series (the replay that serves the
-        frame writes them).  The host border is skipped; the other host
-        steps (padding, map staging, the reduction sum) run over zeros.
+        Returns ``(plan, final, edge_mean)``: the queue's timeline and
+        transfer bytes as an :class:`ExecutionPlan`, and the frame's
+        pixels.  A plan-eligible pipeline calls this only to capture a
+        plan, so it runs the queue in ``MODE_DRYRUN`` over a zero-stride
+        placeholder of the frame's shape: the same commands, fault sites,
+        timeline and transfer bytes as a functional run, with no kernel
+        body and no device copy (its pixels are discarded).  The host
+        border is skipped; the other host steps (padding, map staging,
+        the reduction sum) run over zeros.
         """
         flags = self.flags
-        capturing = self._plan_eligible()
-        ctx = Context(self.device, MODE_DRYRUN if capturing else self.mode)
+        ctx = Context(self.device,
+                      MODE_DRYRUN if self._plan_eligible() else self.mode)
         queue = CommandQueue(ctx, obs=obs)
         h, w = image.shape
         n = h * w
@@ -360,8 +342,8 @@ class GPUPipeline:
 
         # ---- reduction (section V.C) -------------------------------------------
         with obs.trace.span("gpu.reduction"):
-            edge_mean, stage2_gpu = self._reduce(ctx, queue, planner,
-                                                 kernels, pedge_buf, n)
+            edge_mean = self._reduce(ctx, queue, planner, kernels,
+                                     pedge_buf, n)
 
         # ---- sharpness tail (section V.B) ---------------------------------------
         with obs.trace.span("gpu.sharpness", fused=flags.fuse_sharpness):
@@ -401,30 +383,17 @@ class GPUPipeline:
         with obs.trace.span("gpu.readback"):
             final = planner.download(final_buf, stage="data_init")
 
-        if not capturing:
-            record_commands(obs, ctx.timeline, queue.transfer_bytes)
-        result = FrameResult(
-            final=final,
-            times=stage_times_from_timeline(ctx.timeline),
-            timeline=ctx.timeline,
-            edge_mean=edge_mean,
-            flags=flags,
-            border_ran_on_gpu=border_gpu,
-            reduction_stage2_on_gpu=stage2_gpu,
-            kernel_launches=len(ctx.timeline.of_kind("kernel")),
-        )
-        return result, queue
+        plan = ExecutionPlan(self._plan_key(image), ctx.timeline,
+                             queue.transfer_bytes)
+        return plan, final, edge_mean
 
     # -- reduction sub-flow -----------------------------------------------------
 
     def _reduce(self, ctx: Context, queue: CommandQueue,
                 planner: TransferPlanner, kernels, pedge_buf: Buffer,
-                n: int) -> tuple[float, bool]:
-        """Compute the mean of pEdge per the reduction flags.
-
-        Returns ``(mean, stage2_ran_on_gpu)``.
-        """
-        levels, stage2_gpu = _reduction_levels(self.flags, n)
+                n: int) -> float:
+        """Compute the mean of pEdge per the reduction flags."""
+        levels, _ = _reduction_levels(self.flags, n)
         if not levels:
             # Naive placement: ship the whole pEdge matrix to the host and
             # sum it there (the Fig. 16 "on CPU" curve).
@@ -432,7 +401,7 @@ class GPUPipeline:
             queue.host_step("reduction_host",
                             reduction_host_time(n, self.cpu),
                             stage="reduction")
-            return float(pedge_host.sum()) / n, False
+            return float(pedge_host.sum()) / n
 
         # Workgroup tree reductions on the device, one launch per level.
         current = pedge_buf
@@ -450,4 +419,4 @@ class GPUPipeline:
         queue.host_step("reduction_final",
                         reduction_host_time(count, self.cpu),
                         stage="reduction")
-        return float(partials.sum()) / n, stage2_gpu
+        return float(partials.sum()) / n

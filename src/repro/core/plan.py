@@ -29,6 +29,10 @@ a cold key costs about one replay rather than one full kernel-path frame:
   runs therefore produce **bit-identical** images and edge means by
   construction.
 
+An uncached frame's functional run ends as a plan of its own (never
+cached) plus its kernel-computed pixels, so ``GPUPipeline.run`` builds
+every GPU frame's result and writes its telemetry from a plan and pixels.
+
 :class:`PlanCache` is a thread-safe LRU keyed on :class:`PlanKey`; its
 hit/miss counters surface through the metrics registry as
 ``repro_plan_cache_requests_total{outcome=...}``.
@@ -96,8 +100,8 @@ def _reduction_levels(flags: OptimizationFlags,
 
 @dataclass
 class ExecutionPlan:
-    """What the dry run of one pipeline configuration measured, and the
-    frame-invariant facts derived from it."""
+    """What one run of the generic host code measured (a dry run, for a
+    cached plan), and the frame-invariant facts derived from it."""
 
     key: PlanKey
     #: Immutable per-frame timeline template (content-independent costs).

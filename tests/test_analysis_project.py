@@ -62,6 +62,9 @@ def test_atomic_write_rule():
 def test_deterministic_replay_rule_fires_inside_replayed_prefixes():
     rules = [f.rule for f in proj_findings("simgpu/uses_clock.py")]
     assert rules.count("PL-TIME") == 2
+    # The host code a plan is captured from by dry run is in scope too.
+    rules = [f.rule for f in proj_findings("core/pipeline.py")]
+    assert rules.count("PL-TIME") == 1
 
 
 def test_deterministic_replay_rule_is_path_scoped():

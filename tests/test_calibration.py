@@ -45,18 +45,18 @@ class TestDryRunMode:
             flags = flags.with_(reduction_stage2=stage2)
         img = Image.from_array(images.natural_like(*shape, seed=3))
         # A plan-eligible pipeline runs the generic host code dry.
-        dry, dry_queue = GPUPipeline(flags)._run_instrumented(
+        dry, dry_final, _ = GPUPipeline(flags)._run_instrumented(
             img, NULL_CONTEXT)
-        ref, ref_queue = GPUPipeline(flags, caching=False)._run_instrumented(
+        ref, _, _ = GPUPipeline(flags, caching=False)._run_instrumented(
             img, NULL_CONTEXT)
 
-        def events(result):
+        def events(plan):
             return [(ev.name, ev.kind, ev.stage, ev.duration)
-                    for ev in result.timeline.events]
+                    for ev in plan.timeline.events]
 
         assert events(dry) == events(ref)
-        assert dry_queue.transfer_bytes == ref_queue.transfer_bytes
-        assert np.all(dry.final == 0.0)
+        assert dry.transfer_bytes == ref.transfer_bytes
+        assert np.all(dry_final == 0.0)
 
     def test_dryrun_skips_kernel_bodies(self):
         img = Image.from_array(images.natural_like(64, 64, seed=3))

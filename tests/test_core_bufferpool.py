@@ -1,4 +1,7 @@
-"""Buffer pool: reuse identity, bounds, and cross-frame hygiene."""
+"""Buffer pool: reuse identity, bounds, cross-frame hygiene, gauges."""
+
+import io
+import threading
 
 import numpy as np
 import pytest
@@ -6,11 +9,14 @@ import pytest
 from repro.algo import strips
 from repro.core import (
     BufferPool,
+    ExecutionPlan,
     GPUPipeline,
     OPTIMIZED,
+    PlanCache,
     Workspace,
 )
 from repro.errors import ConfigError
+from repro.obs import RunContext
 from repro.types import Image
 from repro.util import images
 
@@ -140,3 +146,68 @@ class TestPoolHygiene:
         # First run is the plan miss: it captures by dry run, then its
         # replay creates the pool's single workspace; the rest reuse it.
         assert stats["reused"] == len(frames) - 1
+
+
+class TestPoolGauges:
+    def test_interleaved_frames_leave_gauges_matching_the_pool(
+            self, monkeypatch):
+        """Two frames share a pool and a registry; the one that checks in
+        first reads the pool (the other still holds a workspace) and then
+        stalls before its gauge write while the other finishes.  The last
+        write must still show the pool as it stands: nothing checked
+        out."""
+        obs = RunContext.create("pool-gauges", log_level="warning",
+                                log_stream=io.StringIO())
+        cache, pool = PlanCache(), BufferPool(obs=obs)
+        frame = images.video_sequence(32, 32, 1, seed=5)[0]
+        GPUPipeline(OPTIMIZED, obs=obs, plan_cache=cache,
+                    buffer_pool=pool).run(frame)  # capture the plan
+
+        both_leased = threading.Barrier(2, timeout=10)
+        first_in_write = threading.Event()
+        second_done = threading.Event()
+        real_execute = ExecutionPlan.execute
+
+        def execute(plan, *args, **kwargs):
+            out = real_execute(plan, *args, **kwargs)
+            both_leased.wait()
+            if threading.current_thread().name == "second":
+                first_in_write.wait(timeout=10)
+            return out
+
+        gauge = obs.metrics.gauge("repro_bufferpool_in_use")
+        real_set = gauge.set
+
+        def set_in_use(value):
+            if threading.current_thread().name == "first":
+                first_in_write.set()
+                # Bounded: a writer that holds the pool's lock here keeps
+                # the second frame from checking in until this expires.
+                second_done.wait(timeout=1)
+            real_set(value)
+
+        monkeypatch.setattr(ExecutionPlan, "execute", execute)
+        monkeypatch.setattr(gauge, "set", set_in_use)
+        errors = []
+
+        def work():
+            try:
+                GPUPipeline(OPTIMIZED, obs=obs, plan_cache=cache,
+                            buffer_pool=pool).run(frame)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+            if threading.current_thread().name == "second":
+                second_done.set()
+
+        threads = [threading.Thread(target=work, name=name, daemon=True)
+                   for name in ("first", "second")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert pool.stats()["in_use"] == 0
+        text = obs.metrics.to_prometheus_text()
+        assert "repro_bufferpool_in_use 0" in text.splitlines()
+        assert "repro_bufferpool_idle 2" in text.splitlines()

@@ -29,6 +29,8 @@ from repro.simgpu.device import W8000
 from repro.types import Image, SharpnessParams
 from repro.util import images
 
+from .test_calibration import _DRY_SHAPES
+
 
 @pytest.fixture(scope="module")
 def frames():
@@ -89,15 +91,29 @@ class TestPlanCorrectness:
             assert got.edge_mean == ref.edge_mean
         assert cached.plan_cache.stats()["hits"] == len(frames) - 1
 
-    def test_cached_preserves_simulated_results(self, frames):
-        uncached = GPUPipeline(OPTIMIZED, caching=False)
-        cached = GPUPipeline(OPTIMIZED)
-        for f in frames:
-            ref = uncached.run(f)
-            got = cached.run(f)
-            assert got.total_time == ref.total_time
-            assert got.kernel_launches == ref.kernel_launches
-            assert got.times.times == ref.times.times
+    def test_cached_preserves_simulated_results(self):
+        """Every FrameResult field of an uncached frame, a cold cached one
+        and a warm one agree, for every ladder step on every dry-run
+        shape (both border placements, both reduction chains)."""
+        def fields(res):
+            return (res.final.dtype, res.final.tobytes(), res.edge_mean,
+                    res.times.times,
+                    [(ev.name, ev.kind, ev.stage, ev.start, ev.end)
+                     for ev in res.timeline.events],
+                    res.total_time, res.kernel_launches,
+                    res.border_ran_on_gpu, res.reduction_stage2_on_gpu,
+                    res.flags, res.backend)
+
+        for shape, stage2 in _DRY_SHAPES:
+            image = _frame(shape, "u8", seed=4)
+            for name, flags in LADDER:
+                if stage2 is not None:
+                    flags = flags.with_(reduction_stage2=stage2)
+                ref = fields(GPUPipeline(flags, caching=False).run(image))
+                cached = GPUPipeline(flags)
+                cold, warm = cached.run(image), cached.run(image)
+                assert fields(cold) == ref, (name, shape)
+                assert fields(warm) == ref, (name, shape)
 
     def test_two_level_reduction_chain(self):
         """More than one workgroup span of stage-1 partials, with stage 2
@@ -513,6 +529,30 @@ class TestPlanObservability:
         # timeline, so each kernel's duration sum doubles to the last bit.
         for key, value in lines_once.items():
             assert lines_twice[key] == 2 * value, key
+
+    def test_cached_and_uncached_telemetry_byte_identical(self, frames):
+        """Every metric family both paths write exports the same lines
+        for the same frames, cached or not."""
+        shared = ("repro_stage_seconds", "repro_pipeline_runs_total",
+                  "repro_pipeline_simulated_seconds", "repro_cl_")
+
+        def lines(caching):
+            obs = RunContext.create("plan-test", log_level="warning",
+                                    log_stream=io.StringIO())
+            pipe = GPUPipeline(OPTIMIZED, obs=obs, caching=caching)
+            for f in frames:
+                pipe.run(f)
+            return [line for line in
+                    obs.metrics.to_prometheus_text().splitlines()
+                    if line.removeprefix("# HELP ").removeprefix(
+                        "# TYPE ").startswith(shared)]
+
+        uncached = lines(False)
+        assert any(line.startswith("repro_stage_seconds_bucket")
+                   for line in uncached)
+        assert any(line.startswith("repro_cl_kernel_seconds_sum")
+                   for line in uncached)
+        assert lines(True) == uncached
 
 
 class TestCaptureFrame:
