@@ -69,7 +69,14 @@ def _read_tokens(data: bytes, count: int, start: int = 0):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a P5 (binary) or P2 (ASCII) PGM file as a float64 plane."""
+    """Read a P5 (binary) or P2 (ASCII) PGM file as a 2-D plane.
+
+    With ``maxval`` 255 the plane is a writable ``uint8`` array holding the
+    file's samples, so the 8-bit stages run on it in exact integers.  With
+    a smaller ``maxval`` the samples are rescaled to ``[0, 255]`` and the
+    plane is float64.  A sample above ``maxval`` is a corrupt file and
+    raises :class:`~repro.errors.ValidationError`.
+    """
     data = pathlib.Path(path).read_bytes()
     (magic,), pos = _read_tokens(data, 1)
     if magic not in (b"P5", b"P2"):
@@ -89,11 +96,32 @@ def read_pgm(path) -> np.ndarray:
         values = data[pos:].split()
         if len(values) < w * h:
             raise ValidationError("truncated ASCII PGM raster")
-        plane = np.array([int(v) for v in values[: w * h]], dtype=np.uint8)
+        if not all(v.isdigit() for v in values[: w * h]):
+            raise ValidationError("non-numeric sample in ASCII PGM raster")
+        plane = np.array([int(v) for v in values[: w * h]], dtype=np.int64)
+    # A uint8 sample cannot exceed 255, so the common P5 case skips the scan.
+    if ((maxval != 255 or plane.dtype != np.uint8)
+            and np.any(plane > maxval)):
+        raise ValidationError(
+            f"PGM sample {int(plane.max())} exceeds maxval {maxval}"
+        )
+    if maxval == 255:
+        return plane.reshape(h, w).astype(np.uint8)
     out = plane.reshape(h, w).astype(np.float64)
-    if maxval != 255:
-        out *= 255.0 / maxval
+    out *= 255.0 / maxval
     return out
+
+
+def _quantize_u8(arr: np.ndarray) -> np.ndarray:
+    """Round and clamp samples to ``uint8`` through one float temporary.
+
+    Clamping to the integer bounds 0 and 255 commutes with round-half-even,
+    so this gives the bytes of ``np.clip(np.rint(arr), 0, 255)``.
+    """
+    t = np.clip(arr, 0, 255)
+    if t.dtype.kind == "f":
+        np.rint(t, out=t)
+    return t.astype(np.uint8, copy=False)
 
 
 def write_pgm(path, plane: np.ndarray) -> None:
@@ -101,7 +129,7 @@ def write_pgm(path, plane: np.ndarray) -> None:
     arr = np.asarray(plane)
     if arr.ndim != 2:
         raise ValidationError(f"PGM needs a 2-D plane, got ndim={arr.ndim}")
-    u8 = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
+    u8 = _quantize_u8(arr)
     h, w = u8.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + u8.tobytes())
@@ -134,7 +162,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         raise ValidationError(
             f"PPM needs an (H, W, 3) array, got shape {arr.shape}"
         )
-    u8 = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
+    u8 = _quantize_u8(arr)
     h, w, _ = u8.shape
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + u8.tobytes())

@@ -38,6 +38,16 @@ class TestExitTwo:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_sample_above_maxval(self, tmp_path, capsys):
+        bad = tmp_path / "over.pgm"
+        bad.write_bytes(b"P2\n4 4\n255\n" + b"0 " * 15 + b"300\n")
+        rc, err = run(capsys, ["sharpen", str(bad),
+                               str(tmp_path / "out.pgm")])
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert "exceeds maxval" in err
+        assert "Traceback" not in err
+
     def test_directory_as_input(self, tmp_path, capsys):
         trap = tmp_path / "dir.pgm"
         trap.mkdir()

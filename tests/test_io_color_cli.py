@@ -63,6 +63,64 @@ class TestPgm:
         with pytest.raises(ValidationError):
             write_pgm(tmp_path / "x.pgm", np.zeros((4, 4, 3)))
 
+    def test_maxval_255_binary_reads_writable_uint8(self, tmp_path):
+        path = tmp_path / "u8.pgm"
+        raster = bytes(range(0, 256, 17)) + bytes([255, 128, 1, 0])
+        path.write_bytes(b"P5\n4 5\n255\n" + raster)
+        out = read_pgm(path)
+        assert out.dtype == np.uint8
+        assert out.flags.writeable
+        assert out.tolist() == np.frombuffer(raster, np.uint8).reshape(
+            5, 4).tolist()
+
+    def test_maxval_255_ascii_reads_uint8(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"P2\n3 2\n255\n0 1 2\n128 254 255\n")
+        out = read_pgm(path)
+        assert out.dtype == np.uint8
+        assert out.flags.writeable
+        assert out.tolist() == [[0, 1, 2], [128, 254, 255]]
+
+    def test_maxval_below_255_reads_scaled_float64(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 2\n15\n" + bytes([15, 0, 7, 15]))
+        out = read_pgm(path)
+        assert out.dtype == np.float64
+        assert out.tolist() == [[255.0, 0.0], [119.0, 255.0]]
+
+    @pytest.mark.parametrize("raster, match", [
+        (b"0 300 2 3", "exceeds maxval"),
+        (b"0 -1 2 3", "non-numeric"),
+        (b"0 x 2 3", "non-numeric"),
+    ])
+    def test_ascii_bad_sample_rejected(self, tmp_path, raster, match):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n" + raster + b"\n")
+        with pytest.raises(ValidationError, match=match):
+            read_pgm(path)
+
+    def test_binary_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        raster = bytearray(16 * 16)
+        raster[37] = 200
+        path.write_bytes(b"P5\n16 16\n15\n" + bytes(raster))
+        with pytest.raises(ValidationError, match="exceeds maxval"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("plane", [
+        np.array([[-3.0, -0.5, -0.4, 0.5], [1.5, 2.5, 254.5, 255.4],
+                  [255.5, 300.0, np.inf, -np.inf]]),
+        np.random.default_rng(3).uniform(-20, 280, (24, 32)),
+        np.random.default_rng(4).normal(128, 90, (16, 16)),
+        np.random.default_rng(5).integers(0, 256, (8, 8), dtype=np.uint8),
+    ], ids=["grid", "uniform", "normal", "uint8"])
+    def test_write_quantizes_like_rint_then_clip(self, tmp_path, plane):
+        path = tmp_path / "q.pgm"
+        write_pgm(path, plane)
+        expected = np.clip(np.rint(plane), 0, 255).astype(np.uint8)
+        header = f"P5\n{plane.shape[1]} {plane.shape[0]}\n255\n"
+        assert path.read_bytes() == header.encode() + expected.tobytes()
+
 
 class TestPpm:
     def test_roundtrip(self, tmp_path, rng):

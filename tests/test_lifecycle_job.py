@@ -6,6 +6,7 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, UsageError, ValidationError
@@ -25,7 +26,7 @@ from repro.lifecycle import (
 from repro.obs import RunContext
 from repro.resilience import FaultPlan
 from repro.util import images as synth
-from repro.util.io import write_pgm
+from repro.util.io import read_pgm, write_pgm
 
 FAST = LifecycleConfig(fsync=False)  # tmpfs tests don't need real fsync
 
@@ -114,6 +115,46 @@ class TestHappyPath:
         assert health["inflight"] == 0
         assert health["ready"] is False  # finished jobs admit nothing
         assert health["live"] is True
+
+
+
+class TestFileInputBitIdentity:
+    """8-bit PGM files reach the engine as ``uint8``; the same pixels as
+    float64 give byte-identical outputs and identical journal records."""
+
+    def run_job(self, tmp_path, inputs, name, loader):
+        job = BatchJob(inputs=inputs, output_dir=tmp_path / f"{name}_out",
+                       job_dir=tmp_path / name, workers=2,
+                       obs=RunContext.disabled(), lifecycle=FAST,
+                       loader=loader)
+        assert job.run().exit_code == EXIT_OK
+        records = JobJournal.replay(job.job_dir).completed
+        return (read_outputs(tmp_path / f"{name}_out"),
+                {fid: r["edge_mean"] for fid, r in records.items()})
+
+    def test_uint8_files_match_float64_loader(self, tmp_path):
+        src = tmp_path / "frames"
+        src.mkdir()
+        for i, (h, w) in enumerate([(32, 48), (64, 64)] * 3):
+            write_pgm(src / f"f{i:02d}-{h}x{w}.pgm",
+                      synth.natural_like(h, w, seed=i))
+        inputs = sorted(src.glob("*.pgm"))
+        seen = []
+
+        def u8_loader(path):
+            plane = read_pgm(path)
+            assert plane.dtype == np.uint8
+            seen.append(path.name)
+            return plane
+
+        u8_out, u8_means = self.run_job(tmp_path, inputs, "u8", u8_loader)
+        f64_out, f64_means = self.run_job(
+            tmp_path, inputs, "f64",
+            lambda p: read_pgm(p).astype(np.float64))
+        assert sorted(seen) == [p.name for p in inputs]
+        assert len(u8_out) == len(inputs)
+        assert u8_out == f64_out
+        assert u8_means == f64_means
 
 
 def slow_obs(spec="hang:rate=1.0,seconds=0.15;seed=1"):
