@@ -17,10 +17,14 @@ The stages that read only the original (:func:`downscale`,
 dtype: a ``uint8`` frame is read as is and summed in a narrow integer
 type that holds every partial sum exactly (``uint16`` for the 4x4 block
 sums, ``int16`` for the Sobel terms), and the exact integer result is
-cast to float64.  Every other dtype is computed in float64, where the
-same sums of small integers are exact too, so both branches produce the
-same bits.  Narrow scratch is a view over the leading bytes of the
-caller's float64 scratch (:func:`_scratch`).
+cast to float64 where a float64 value is needed.  Every other dtype is
+computed in float64, where the same sums of small integers are exact
+too, so both branches produce the same bits.  The same holds one stage
+further on: an integer pEdge is summed exactly in ``int64``
+(:func:`reduce_sum`, :func:`group_sums`), and its strength is gathered
+from :func:`strength_table` (:func:`strength_lookup`).  Narrow scratch
+may be a view over the leading bytes of the caller's float64 scratch
+(:func:`_scratch`).
 """
 
 from __future__ import annotations
@@ -184,34 +188,41 @@ def upscale_border_line(line: np.ndarray, out_len: int) -> np.ndarray:
     return out
 
 
-def upscale_body_rows(down: np.ndarray, up: np.ndarray, r0: int, r1: int,
+def upscale_body_rows(down: np.ndarray, out: np.ndarray, r0: int, r1: int,
                       *, rows: np.ndarray | None = None,
                       taps: np.ndarray | None = None) -> None:
-    """Write the body (``up[2:H-2, 2:W-2]``) of rows ``[r0, r1)`` of ``up``.
+    """Write the body columns (``2 .. W-3``) of upscaled rows ``[r0, r1)``
+    into ``out``: ``out[i, j]`` is ``up[r0 + i, 2 + j]``, for the rows
+    that lie in the body (``2 .. H-3``); ``out`` is ``(r1 - r0, W - 4)``.
 
     Body row ``b`` blends ``down[b // 4]`` and ``down[b // 4 + 1]`` with
     the weights of phase ``b % 4`` into ``rows`` (``(n, W/4)`` scratch);
-    then ``[b, 4q + k]`` is ``wl * rows[b, q] + wr * rows[b, q + 1]``
-    (``taps``: ``(2, n, W/4 - 1)`` scratch).
+    then ``[b, 4q + k]`` is ``wl * rows[b, q] + wr * rows[b, q + 1]``.
+    The products go to contiguous arrays carved from ``taps`` (flat
+    scratch of ``2 * n * W/4`` elements), so no step allocates and NumPy
+    buffers at most one strided operand per call.
     """
-    h, w = up.shape
+    h, wd = SCALE * down.shape[0], down.shape[1]
     y0, y1 = max(r0, 2), min(r1, h - 2)
     if y1 <= y0:
         return
     n = y1 - y0
     b0, b1 = y0 - 2, y1 - 2
-    rows = _scratch(rows, (n, down.shape[1]))
+    rows = _scratch(rows, (n, wd))
+    taps = _scratch(taps, (2 * n * wd,))
     for k in range(SCALE):
         bk = b0 + (k - b0) % SCALE  # first body row of phase k
         if bk >= b1:
             continue
         i0, c = bk // SCALE, (b1 - bk + SCALE - 1) // SCALE
         wl, wr = UPSCALE_P[k]
-        np.add(wl * down[i0:i0 + c], wr * down[i0 + 1:i0 + 1 + c],
-               out=rows[bk - b0::SCALE])
-    body = up[y0:y1, 2:w - 2]
+        left, right = taps[:2 * c * wd].reshape(2, c, wd)
+        np.multiply(down[i0:i0 + c], wl, out=left)
+        np.multiply(down[i0 + 1:i0 + 1 + c], wr, out=right)
+        np.add(left, right, out=rows[bk - b0::SCALE])
+    body = out[y0 - r0:y1 - r0]
     ra, rb = rows[:, :-1], rows[:, 1:]
-    ta, tb = _scratch(taps, (2, n, down.shape[1] - 1))
+    ta, tb = taps[:2 * n * (wd - 1)].reshape(2, n, wd - 1)
     for k in range(SCALE):
         wl, wr = UPSCALE_P[k]
         np.multiply(ra, wl, out=ta)
@@ -239,12 +250,16 @@ def upscale_body(down: np.ndarray,
     h, w = SCALE * d.shape[0], SCALE * d.shape[1]
     if up is None:
         up = np.empty((h, w), dtype=FLOAT)
-    upscale_body_rows(d, up, 0, h)
+    upscale_body_rows(d, up[:, 2:w - 2], 0, h)
     return up[2:h - 2, 2:w - 2]
 
 
-def upscale_border_apply(up: np.ndarray, down: np.ndarray) -> None:
-    """Write the border construction of Fig. 3 into ``up`` in place.
+def upscale_border_ring(down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two-pixel border ring of the upscaled plane (Fig. 3): rows 0,
+    1, H-2, H-1 as a ``(4, W)`` array and columns 0, 1, W-2, W-1 as an
+    ``(H, 4)`` array, with every cell as :func:`upscale_border_apply`
+    leaves it.  O(H + W): the strip executor upscales interior rows
+    itself and takes their ends from here.
 
     Assembly order is canonical (DESIGN.md section 3) so that every
     implementation produces identical corners:
@@ -264,26 +279,56 @@ def upscale_border_apply(up: np.ndarray, down: np.ndarray) -> None:
     d = np.asarray(down, dtype=FLOAT)
     nr, nc = d.shape
     h, w = SCALE * nr, SCALE * nc
+    row0 = upscale_border_line(d[0], w)
+    rowl = upscale_border_line(d[nr - 1], w)
+    col0 = upscale_border_line(d[:, 0], h)
+    coll = upscale_border_line(d[:, nc - 1], h)
+    rows = np.stack([row0, row0, rowl, rowl])
+    cols = np.stack([col0, col0, coll, coll], axis=1)
+    cols[h - 2:, 2:] = cols[h - 3, 3]
+    # The columns are written after the rows, so they own the crossings.
+    ring = [0, 1, h - 2, h - 1]
+    rows[:, :2] = cols[ring, :2]
+    rows[:, w - 2:] = cols[ring, 2:]
+    return rows, cols
+
+
+def upscale_border_apply(up: np.ndarray, down: np.ndarray) -> None:
+    """Write the border construction of Fig. 3 into ``up`` in place: the
+    ring of :func:`upscale_border_ring`."""
+    d = np.asarray(down, dtype=FLOAT)
+    nr, nc = d.shape
+    h, w = SCALE * nr, SCALE * nc
     if up.shape != (h, w):
         raise ValidationError(
             f"upscaled buffer shape {up.shape} does not match {SCALE}x "
             f"the downscaled shape {d.shape}"
         )
-    row0 = upscale_border_line(d[0], w)
-    up[0] = row0
-    up[1] = row0
-    rowl = upscale_border_line(d[nr - 1], w)
-    up[h - 2] = rowl
-    up[h - 1] = rowl
+    rows, cols = upscale_border_ring(d)
+    up[[0, 1, h - 2, h - 1]] = rows
+    up[:, [0, 1, w - 2, w - 1]] = cols
 
-    col0 = upscale_border_line(d[:, 0], h)
-    up[:, 0] = col0
-    up[:, 1] = col0
-    coll = upscale_border_line(d[:, nc - 1], h)
-    up[:, w - 2] = coll
-    up[:, w - 1] = coll
 
-    up[h - 2 :, w - 2 :] = up[h - 3, w - 1]
+def upscale_interior_rows(down: np.ndarray,
+                          ring: tuple[np.ndarray, np.ndarray],
+                          r0: int, r1: int, out: np.ndarray, *,
+                          rows: np.ndarray | None = None,
+                          taps: np.ndarray | None = None) -> np.ndarray:
+    """Upscaled interior rows ``[r0, r1)`` (``1 <= r0 < r1 <= H - 1``),
+    interior columns ``1 .. W-2``, into the ``(r1 - r0, W - 2)`` ``out``:
+    the body from :func:`upscale_body_rows` (scratch ``rows``/``taps``),
+    the cells of rows 1 and H-2 and columns 1 and W-2 from ``ring``
+    (:func:`upscale_border_ring`).  Returns ``out``."""
+    top_bottom, sides = ring
+    h, wi = SCALE * down.shape[0], out.shape[1]
+    upscale_body_rows(down, out[:, 1:wi - 1], r0, r1, rows=rows, taps=taps)
+    if r0 == 1:
+        out[0, 1:wi - 1] = top_bottom[1, 2:wi]
+    if r1 == h - 1:
+        out[-1, 1:wi - 1] = top_bottom[2, 2:wi]
+    out[:, 0] = sides[r0:r1, 1]
+    out[:, wi - 1] = sides[r0:r1, 2]
+    return out
 
 
 def upscale(down: np.ndarray) -> np.ndarray:
@@ -331,7 +376,8 @@ def sobel_rows(src: np.ndarray, edge: np.ndarray, r0: int, r1: int, *,
     row sums (``urow``: ``(n + 2, W - 2)``; ``gx``, ``gy``: ``(n, W - 2)``).
 
     A ``uint8`` ``src`` runs in ``int16`` scratch (``|Gx| + |Gy|`` is at
-    most 2040), cast into the float64 ``edge`` by the last add.
+    most :data:`EDGE_MAX_U8`); the last add writes ``edge``, an ``int16``
+    plane in the strip executor, or float64 (cast by the add).
     """
     w = src.shape[1]
     n = r1 - r0
@@ -368,28 +414,46 @@ def sobel(src: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _exact_ints(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds integers that :func:`reduce_sum` and
+    :func:`group_sums` add exactly in ``int64``."""
+    return arr.dtype.kind in "iu"
+
+
 def reduce_sum(values: np.ndarray) -> float:
-    """Total of all elements (the quantity the GPU tree reduction computes)."""
-    return float(np.asarray(values, dtype=FLOAT).sum())
+    """Total of all elements (the quantity the GPU tree reduction computes).
+
+    An integer array (the ``int16`` pEdge of an 8-bit frame) is added in
+    ``int64``: every partial of the float64 sum of the same values is an
+    integer below 2**53, so both give the same bits.
+    """
+    arr = np.asarray(values)
+    if _exact_ints(arr):
+        return float(arr.sum(dtype=np.int64))
+    return float(arr.astype(FLOAT, copy=False).sum())
 
 
 def group_sums(flat: np.ndarray, count: int, n_groups: int,
                span: int) -> np.ndarray:
     """Per-workgroup sums of ``flat[:count]``: group ``g`` adds the
     contiguous slice ``[g * span, (g + 1) * span)`` (the last one is
-    cut at ``count``).
+    cut at ``count``).  The partials are float64.
 
     A contiguous row of a reshape and the equivalent 1-D slice run the
     same pairwise summation, so every partial has the bits of that
-    slice's ``.sum()``.
+    slice's ``.sum()``.  Integer values are added exactly in ``int64``
+    (see :func:`reduce_sum`).
     """
+    acc = np.int64 if _exact_ints(flat) else None
     full = count // span
     if full == n_groups:
-        return flat[:count].reshape(n_groups, span).sum(axis=1)
+        sums = flat[:count].reshape(n_groups, span).sum(axis=1, dtype=acc)
+        return sums.astype(FLOAT, copy=False)
     partials = np.empty(n_groups, dtype=FLOAT)
     if full:
-        partials[:full] = flat[:full * span].reshape(full, span).sum(axis=1)
-    partials[full] = flat[full * span:count].sum()
+        partials[:full] = flat[:full * span].reshape(full, span).sum(
+            axis=1, dtype=acc)
+    partials[full] = flat[full * span:count].sum(dtype=acc)
     return partials
 
 
@@ -401,8 +465,12 @@ def reduce_mean(values: np.ndarray,
     n_groups)`` per launch: the flat values are folded through
     :func:`group_sums` (span :data:`GROUP_SPAN`) level by level before
     the final host sum, which reproduces the kernel's summation order.
+    An integer ``values`` is read as is and summed exactly (see
+    :func:`reduce_sum`).
     """
-    arr = np.asarray(values, dtype=FLOAT)
+    arr = np.asarray(values)
+    if not _exact_ints(arr):
+        arr = arr.astype(FLOAT, copy=False)
     if arr.size == 0:
         raise ValidationError("cannot reduce an empty array")
     partials = arr
@@ -453,6 +521,32 @@ def strength_map(
         np.power(out, FLOAT(params.gamma), out=out)
     np.multiply(out, FLOAT(params.gain), out=out)
     return np.clip(out, 0.0, params.strength_max, out=out)
+
+
+#: Bound on an 8-bit frame's Sobel magnitude, ``|Gx| + |Gy| <= 8 * 255``,
+#: which sizes its ``int16`` pEdge and :func:`strength_table` (the largest
+#: magnitude actually reached is ``6 * 255``).
+EDGE_MAX_U8 = 8 * 255
+
+
+def strength_table(edge_mean: float, params: SharpnessParams) -> np.ndarray:
+    """:func:`strength_map` of every pEdge value an 8-bit frame can have,
+    ``0 .. EDGE_MAX_U8``: the same function on the same float64 values, so
+    :func:`strength_lookup` gives the bits of :func:`strength_map`."""
+    return strength_map(np.arange(EDGE_MAX_U8 + 1, dtype=FLOAT), edge_mean,
+                        params)
+
+
+def strength_lookup(table: np.ndarray, p_edge: np.ndarray,
+                    out: np.ndarray | None = None, *,
+                    idx: np.ndarray | None = None) -> np.ndarray:
+    """The strength of an integer ``p_edge``, gathered from ``table``
+    (:func:`strength_table`).  The values are first copied into ``idx``
+    (``intp`` scratch of ``p_edge``'s shape): gathering with narrow
+    indices would make NumPy allocate that copy itself."""
+    ix = _scratch(idx, p_edge.shape, np.intp)
+    np.copyto(ix, p_edge)
+    return np.take(table, ix, out=out, mode="clip")
 
 
 def preliminary_sharpen(
@@ -506,12 +600,15 @@ def minmax3x3(src: np.ndarray, r0: int = 1, r1: int | None = None, *,
     return lo, hi
 
 
-def clip_border(src: np.ndarray, final: np.ndarray) -> None:
-    """Clip the one-pixel border ring of ``src`` to [0, 255] into
-    ``final``: overshoot control leaves the border unblended."""
-    h, w = src.shape
-    for line in (np.s_[0], np.s_[h - 1], np.s_[:, 0], np.s_[:, w - 1]):
-        np.clip(src[line], 0.0, 255.0, out=final[line])
+def clip_border(top: np.ndarray, bottom: np.ndarray, left: np.ndarray,
+                right: np.ndarray, final: np.ndarray) -> None:
+    """Clip the four lines of a plane's one-pixel border ring to [0, 255]
+    into that ring of ``final``: overshoot control leaves the border
+    unblended."""
+    h, w = final.shape
+    for line, src in ((np.s_[0], top), (np.s_[h - 1], bottom),
+                      (np.s_[:, 0], left), (np.s_[:, w - 1], right)):
+        np.clip(src, 0.0, 255.0, out=final[line])
 
 
 def overshoot_rows(prelim: np.ndarray, mn: np.ndarray, mx: np.ndarray,
@@ -526,6 +623,8 @@ def overshoot_rows(prelim: np.ndarray, mn: np.ndarray, mx: np.ndarray,
     boolean scratch.  Pixels are clipped to [0, 255], then the
     overshooting ones (typically 10-20%) are blended back through flat
     indices, which touch only them (a boolean mask walks every pixel).
+    The blend runs in place in its gathered values, so its temporaries
+    are three arrays per overshooting pixel.
     """
     n, wi = prelim.shape
     w = final.shape[1]
@@ -540,13 +639,23 @@ def overshoot_rows(prelim: np.ndarray, mn: np.ndarray, mx: np.ndarray,
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             continue
-        bv, lv = np.take(prelim, idx), np.take(bound, idx)
-        if is_over:
-            vals = np.minimum(lv + osc * (bv - lv), 255.0)
-        else:
-            vals = np.maximum(lv - osc * (lv - bv), 0.0)
+        vals, lv = np.take(prelim, idx), np.take(bound, idx)
+        if is_over:  # min(lv + osc * (pv - lv), 255)
+            np.subtract(vals, lv, out=vals)
+            np.multiply(vals, osc, out=vals)
+            np.add(lv, vals, out=vals)
+            np.minimum(vals, 255.0, out=vals)
+        else:  # max(lv - osc * (lv - pv), 0)
+            np.subtract(lv, vals, out=vals)
+            np.multiply(vals, osc, out=vals)
+            np.subtract(lv, vals, out=vals)
+            np.maximum(vals, 0.0, out=vals)
         # row-range index (r, c) -> final index (r0 + r, c + 1)
-        final_flat[idx + 2 * (idx // wi) + r0 * w + 1] = vals
+        row = idx // wi
+        row *= 2
+        idx += row
+        idx += r0 * w + 1
+        final_flat[idx] = vals
 
 
 def overshoot_control(
@@ -569,7 +678,7 @@ def overshoot_control(
     h, w = p.shape
     final = np.empty((h, w), dtype=FLOAT)
     if p.size:
-        clip_border(p, final)
+        clip_border(p[0], p[h - 1], p[:, 0], p[:, w - 1], final)
         mn, mx = minmax3x3(o)
         body = np.ascontiguousarray(p[1:h - 1, 1:w - 1])
         overshoot_rows(body, mn, mx, params.overshoot, final, 1)

@@ -10,20 +10,37 @@ is computed by the same stage expression whatever the strip, so the
 result is bit-identical to :func:`~repro.algo.stages.sharpen` given the
 same chain.
 
-Only the downscale (whose output is 1/16 of the frame) and the pEdge
-reduction run over the whole frame; the rest runs on row strips of the
-``h - 2`` interior rows, sized by :data:`STRIP_BYTES` so one strip's
-scratch stays in cache:
+Only two planes span the frame: the downscaled plane (1/16 of it) and
+pEdge, an ``int16`` plane for an 8-bit frame (its values are at most
+:data:`~repro.algo.stages.EDGE_MAX_U8`) and float64 otherwise.  The
+upscaled plane, pError, the strength and the preliminary image exist one
+strip at a time.  The phases:
 
-1. downscale the whole frame;
-2. **pass 1**, per strip: upscale-body rows into ``up``, then Sobel rows
-   into ``pEdge``; then the upscale border lines (O(h + w));
+1. **downscale**, on the calling thread, per block of ``4 * (strip //
+   4)`` input rows into ``down``, with the block's column sums in the
+   first lane's arena (on two cores a lane pass here saved under 1 ms
+   at 2048² and nothing at 512², and its extra hand-off to a helper
+   thread made instrumented frames slower than plain ones);
+2. **pass 1**, a pass of the strip lanes, per strip of the ``h - 2``
+   interior rows: Sobel rows into pEdge;
 3. the pEdge mean, :func:`~repro.algo.stages.reduce_mean` through the
-   caller's level chain — the pipeline's only global barrier, hence two
-   passes;
-4. **pass 2**, per strip: pError, strength, preliminary, 3x3 min/max and
+   caller's level chain (an ``int16`` plane is summed exactly in
+   ``int64``) — the pipeline's only global barrier, hence two passes;
+4. **pass 2**, a pass of the strip lanes, per strip: the strip's
+   upscaled rows from ``down`` and the O(h + w) border ring
+   (:func:`~repro.algo.stages.upscale_border_ring`), pError, the strength
+   (an 8-bit frame's is gathered from a table over the pEdge values
+   0..2040), the preliminary image in place over pError, 3x3 min/max and
    the overshoot blend into the output; then the output's border lines
-   from ``up``.
+   from the ring.
+
+Each lane's scratch is one arena (:class:`StripScratch`) with typed
+views per frame dtype (:func:`_layout`); arrays that are never live
+together share its bytes, so an 8-bit strip needs
+:data:`U8_PX_BYTES` = 24 bytes per pixel of a strip row and a float
+strip :data:`FLOAT_PX_BYTES` = 32.  The strip height, the same for both
+dtypes, is the 8-bit arena budget :data:`STRIP_BYTES` divided by 24 and
+the width (:func:`strip_rows`).
 
 Strips of one frame run on :data:`STRIP_LANES`, a process-wide pool of
 lanes: each lane owns one :class:`StripScratch` of the workspace and
@@ -40,10 +57,12 @@ thread.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,55 +70,124 @@ from ..errors import ConfigError
 from ..types import FLOAT, SharpnessParams
 from . import stages as algo
 
-#: Byte budget of one strip-scratch array.  A strip holds
-#: ``STRIP_BYTES // (8 * w)`` rows, so the scratch of one lane stays the
-#: same size at every frame width (32 rows at 2048 wide, the fastest
-#: height there).
-STRIP_BYTES = 512 << 10
+#: Byte budget of one strip lane's arena for an 8-bit frame.  Swept from
+#: 0.5 to 6 MiB with ``strips.run`` on 8-bit frames, two lanes, 2-vCPU VM
+#: (docs/performance.md): per-strip NumPy call overhead and the GIL
+#: favour tall strips, memory traffic favours short ones.  3 MiB (256
+#: rows at 512 wide, 64 at 2048) was the fastest at 512², where a larger
+#: budget leaves the second lane without a strip, and within the
+#: run-to-run spread of the fastest at 2048².  A float frame's strips
+#: have the same height, so its arena is 4/3 of this: on float frames,
+#: 256 rows ran 512² as fast as 128 and faster than the 192 of a 3 MiB
+#: float budget, whose three strips leave two lanes unbalanced, and tied
+#: 48 rows at 2048².
+STRIP_BYTES = 3 << 20
+
+#: Arena bytes per pixel of a strip row (:func:`_layout`): three float64
+#: slots for an 8-bit frame, four for a float one.
+U8_PX_BYTES, FLOAT_PX_BYTES = 24, 32
 
 
 def strip_rows(h: int, w: int) -> int:
-    """Rows per strip for an ``h x w`` frame (the executor strips the
-    ``h - 2`` interior rows)."""
-    return max(1, min(h - 2, STRIP_BYTES // (8 * w)))
+    """Rows per strip of an ``h x w`` frame of either dtype (the executor
+    strips the ``h - 2`` interior rows)."""
+    return max(1, min(h - 2, STRIP_BYTES // (U8_PX_BYTES * w)))
+
+
+def _layout(n: int, w: int, u8: bool) -> dict[str, tuple]:
+    """Where each scratch array of an ``n``-row strip of a ``w``-wide
+    frame lives in a lane's arena: ``name -> (byte offset, shape, dtype)``.
+
+    The phases run one after another, so each starts at byte 0.  Pass 2
+    uses float64 slots ``P``, ``Q``, ``R`` of one ``(n, w - 2)`` strip
+    each, reused as arrays die:
+
+    * ``P``: an 8-bit frame's pEdge indices, until the strength is
+      gathered; then the upscaled rows ``ui``, until the preliminary image
+      is done; then the 3x3 extrema (``uint8``) and their column scratch
+      ``ext``;
+    * ``Q``: the strength; then the overshoot masks of an 8-bit frame;
+    * ``R``: the upscale's ``rows``/``taps``; then pError, overwritten in
+      place by the preliminary image.
+
+    A float frame's extrema are float64: ``mn`` goes to ``P``, ``mx`` to
+    ``Q``, and ``ext`` and the masks to a fourth slot ``T``, two rows
+    taller.
+    """
+    wd, wi = w // 4, w - 2
+    slot = 8 * n * wi
+    acc = np.int16 if u8 else FLOAT
+    spec: dict[str, tuple] = {}
+
+    def put(name, offset, shape, dtype) -> int:
+        spec[name] = (offset, shape, dtype)
+        return offset + -(-_nbytes(shape, dtype) // 8) * 8
+
+    put("colsum", 0, (4 * max(1, n // 4), wd), np.uint16 if u8 else FLOAT)
+    end = put("tcol", 0, (n, w), acc)
+    end = put("urow", end, (n + 2, wi), acc)
+    end = put("gx", end, (n, wi), acc)
+    put("gy", end, (n, wi), acc)
+    p, q, r, t = 0, slot, 2 * slot, 3 * slot
+    put("ui", p, (n, wi), FLOAT)
+    put("strength", q, (n, wi), FLOAT)
+    put("rows", r, (n, wd), FLOAT)
+    put("taps", r + 8 * n * wd, (2 * n * wd,), FLOAT)
+    put("err", r, (n, wi), FLOAT)
+    if u8:
+        put("idx", p, (n, wi), np.intp)
+        end = put("ext", p, (n + 2, wi), np.uint8)
+        end = put("mn", end, (n, wi), np.uint8)
+        put("mx", end, (n, wi), np.uint8)
+        masks = q
+    else:
+        put("mn", p, (n, wi), FLOAT)
+        put("mx", q, (n, wi), FLOAT)
+        put("ext", t, (n + 2, wi), FLOAT)
+        masks = t
+    end = put("over", masks, (n, wi), bool)
+    put("under", end, (n, wi), bool)
+    return spec
+
+
+def _nbytes(shape: tuple[int, ...], dtype) -> int:
+    return math.prod(shape) * np.dtype(dtype).itemsize
+
+
+def _layout_bytes(spec: dict[str, tuple]) -> int:
+    return max(off + _nbytes(shape, dt) for off, shape, dt in spec.values())
 
 
 class StripScratch:
-    """One strip lane's host scratch: ``rows`` interior rows of a
-    ``w``-wide frame, plus the one-row halo above and below where a
-    separable 3x3 stage needs it.
+    """One strip lane's host scratch: a single arena, viewed per frame
+    dtype as the arrays of :func:`_layout` (``layouts`` maps ``u8``,
+    whether the frame is 8-bit, to the layout of that dtype's strip
+    height)."""
 
-    Pass 1 (upscale body + Sobel) writes ``rows``/``taps``/``tcol``/
-    ``urow``/``gx``/``gy``; pass 2 (sharpness tail + overshoot) writes the
-    rest.  The tail arrays cover the interior columns only: on the
-    one-pixel border the edge map is zero, so the strength is zero and the
-    preliminary image equals the upscaled plane — the executor takes the
-    final border straight from ``up``.
-    """
+    def __init__(self, layouts: dict[bool, dict[str, tuple]]) -> None:
+        self._layouts = layouts
+        nbytes = max(_layout_bytes(spec) for spec in layouts.values())
+        self.arena = np.empty(-(-nbytes // 8), dtype=FLOAT)
+        # Typed views of the arena, built on first use per dtype.
+        self._views: dict[bool, SimpleNamespace] = {}
 
-    def __init__(self, rows: int, w: int) -> None:
-        wd, wi = w // 4, w - 2
-        self.rows = np.empty((rows, wd), dtype=FLOAT)
-        self.taps = np.empty((2, rows, wd - 1), dtype=FLOAT)
-        self.tcol = np.empty((rows, w), dtype=FLOAT)
-        self.urow = np.empty((rows + 2, wi), dtype=FLOAT)
-        self.gx = np.empty((rows, wi), dtype=FLOAT)
-        self.gy = np.empty((rows, wi), dtype=FLOAT)
-        self.err = np.empty((rows, wi), dtype=FLOAT)
-        self.strength = np.empty((rows, wi), dtype=FLOAT)
-        self.prelim = np.empty((rows, wi), dtype=FLOAT)
-        self.mnc = np.empty((rows + 2, wi), dtype=FLOAT)
-        self.mxc = np.empty((rows + 2, wi), dtype=FLOAT)
-        self.mn = np.empty((rows, wi), dtype=FLOAT)
-        self.mx = np.empty((rows, wi), dtype=FLOAT)
-        self.over = np.empty((rows, wi), dtype=bool)
-        self.under = np.empty((rows, wi), dtype=bool)
+    def views(self, u8: bool) -> SimpleNamespace:
+        """The arena's arrays for a strip of an 8-bit (``u8``) or float
+        frame, as attributes named as in :func:`_layout`."""
+        v = self._views.get(u8)
+        if v is None:
+            raw = self.arena.view(np.uint8)
+            v = SimpleNamespace(**{
+                name: raw[off:off + _nbytes(shape, dt)].view(dt).reshape(shape)
+                for name, (off, shape, dt) in self._layouts[u8].items()})
+            self._views[u8] = v
+        return v
 
 
 class Workspace:
     """Preallocated per-shape scratch for one in-flight frame: the
-    downscaled, upscaled and pEdge planes, the downscale's column sums,
-    and one :class:`StripScratch` per strip lane."""
+    downscaled plane, the pEdge plane of each frame dtype, and one
+    :class:`StripScratch` per strip lane."""
 
     def __init__(self, h: int, w: int) -> None:
         if h % 4 or w % 4 or h < 16 or w < 16:
@@ -108,43 +196,61 @@ class Workspace:
                 f"got {h}x{w}"
             )
         self.h, self.w = h, w
-        wd = w // 4
-        self.down = np.empty((h // 4, wd), dtype=FLOAT)
-        self.up = np.empty((h, w), dtype=FLOAT)
-        self.edge = np.zeros((h, w), dtype=FLOAT)
-        self.colsum = np.empty((h, wd), dtype=FLOAT)
+        self.down = np.empty((h // 4, w // 4), dtype=FLOAT)
+        #: The bytes of the 8-bit frames' ``int16`` pEdge plane
+        #: (:attr:`edge`).
+        self.edge_store = np.zeros(-(-h * w // 4), dtype=FLOAT)
+        #: The float frames' pEdge plane, made by the first float frame.
+        self.edge_float: np.ndarray | None = None
+        #: Rows per strip.
         self.strip = strip_rows(h, w)
-        self.lanes = [StripScratch(self.strip, w)]
+        self._layouts = {u8: _layout(self.strip, w, u8)
+                         for u8 in (True, False)}
+        self.lanes = [StripScratch(self._layouts)]
+
+    def edge_plane(self, u8: bool) -> np.ndarray:
+        """The pEdge plane of an 8-bit (``u8``: ``int16``) or a float
+        frame (float64).  The two share no bytes, so frames of one dtype
+        never write the other's border ring."""
+        if u8:
+            return self.edge
+        if self.edge_float is None:
+            self.edge_float = np.zeros((self.h, self.w), dtype=FLOAT)
+        return self.edge_float
+
+    @property
+    def edge(self) -> np.ndarray:
+        """The 8-bit frames' ``int16`` pEdge plane."""
+        h, w = self.h, self.w
+        return self.edge_store.view(np.int16)[:h * w].reshape(h, w)
 
     def lane_scratch(self, n: int) -> list[StripScratch]:
         """The scratch of the first ``n`` strip lanes, built on first use."""
         while len(self.lanes) < n:
-            self.lanes.append(StripScratch(self.strip, self.w))
+            self.lanes.append(StripScratch(self._layouts))
         return self.lanes[:n]
-
-    def arrays(self) -> list[np.ndarray]:
-        """Every array the workspace owns, strip scratch included."""
-        owners = [self, *self.lanes]
-        return [a for o in owners for a in vars(o).values()
-                if isinstance(a, np.ndarray)]
 
     @property
     def nbytes(self) -> int:
         """Total scratch footprint."""
-        return sum(a.nbytes for a in self.arrays())
+        return (self.down.nbytes + self.edge_store.nbytes
+                + (0 if self.edge_float is None else self.edge_float.nbytes)
+                + sum(s.arena.nbytes for s in self.lanes))
 
     def reset(self) -> None:
         """Make the workspace frame-clean.
 
-        The executor overwrites every cell it reads except the pEdge border
-        ring (Sobel leaves the border zero by construction), so only that
-        ring needs restoring; everything else is recycled dirty.
+        The executor overwrites every cell it reads except the pEdge
+        planes' border rings (Sobel leaves the border zero by
+        construction), so only those rings need restoring; everything
+        else is recycled dirty.
         """
-        h, w = self.h, self.w
-        self.edge[0] = 0.0
-        self.edge[h - 1] = 0.0
-        self.edge[:, 0] = 0.0
-        self.edge[:, w - 1] = 0.0
+        for edge in (self.edge, self.edge_float):
+            if edge is not None:
+                edge[0] = 0
+                edge[-1] = 0
+                edge[:, 0] = 0
+                edge[:, -1] = 0
 
 
 class _Strips:
@@ -255,32 +361,54 @@ class StripLanes:
 STRIP_LANES = StripLanes(os.cpu_count() or 1)
 
 
-def _upscale_sobel_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
-                         s: StripScratch) -> None:
-    """Pass 1 on interior rows ``[r0, r1)``: upscale-body rows of ``up``
-    and Sobel rows of ``pEdge``."""
-    algo.upscale_body_rows(ws.down, ws.up, r0, r1, rows=s.rows, taps=s.taps)
-    algo.sobel_rows(plane, ws.edge, r0, r1, tcol=s.tcol, urow=s.urow,
-                    gx=s.gx, gy=s.gy)
+class _Tail(NamedTuple):
+    """What every pass-2 strip of one frame reads besides its rows."""
+
+    edge: np.ndarray
+    edge_mean: float
+    #: :func:`~repro.algo.stages.strength_table` of an 8-bit frame, else
+    #: ``None``.
+    lut: np.ndarray | None
+    ring: tuple[np.ndarray, np.ndarray]
+    params: SharpnessParams
+    final: np.ndarray
+
+
+def _sobel_strip(plane: np.ndarray, edge: np.ndarray, r0: int, r1: int,
+                 v: SimpleNamespace) -> None:
+    """Pass 1 on interior rows ``[r0, r1)``: Sobel rows of pEdge."""
+    algo.sobel_rows(plane, edge, r0, r1, tcol=v.tcol, urow=v.urow,
+                    gx=v.gx, gy=v.gy)
 
 
 def _sharpen_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
-                   s: StripScratch, edge_mean: float,
-                   params: SharpnessParams, final: np.ndarray) -> None:
+                   v: SimpleNamespace, tail: _Tail) -> None:
     """Pass 2 on interior rows ``[r0, r1)``: the fused sharpness tail and
     overshoot control into ``final[r0:r1, 1:w-1]`` (interior columns: the
-    border is :func:`~repro.algo.stages.clip_border`'s)."""
+    border is :func:`~repro.algo.stages.clip_border`'s).  The steps run in
+    the order that :func:`_layout`'s slot reuse relies on."""
     w = ws.w
     n = r1 - r0
-    ui = ws.up[r0:r1, 1:w - 1]
-    err = algo.perror(plane[r0:r1, 1:w - 1], ui, out=s.err[:n])
-    strength = algo.strength_map(ws.edge[r0:r1, 1:w - 1], edge_mean,
-                                 params, out=s.strength[:n])
-    prelim = algo.preliminary_sharpen(ui, err, strength, out=s.prelim[:n])
-    mn, mx = algo.minmax3x3(plane, r0, r1, mn=s.mn, mx=s.mx, mnc=s.mnc,
-                            mxc=s.mxc)
-    algo.overshoot_rows(prelim, mn, mx, params.overshoot, final, r0,
-                        over=s.over, under=s.under)
+    edge = tail.edge[r0:r1, 1:w - 1]
+    if tail.lut is None:
+        strength = algo.strength_map(edge, tail.edge_mean, tail.params,
+                                     out=v.strength[:n])
+    else:
+        strength = algo.strength_lookup(tail.lut, edge, out=v.strength[:n],
+                                        idx=v.idx[:n])
+    ui = algo.upscale_interior_rows(ws.down, tail.ring, r0, r1, v.ui[:n],
+                                    rows=v.rows, taps=v.taps)
+    err = algo.perror(plane[r0:r1, 1:w - 1], ui, out=v.err[:n])
+    prelim = algo.preliminary_sharpen(ui, err, strength, out=err)
+    mn, mx = algo.minmax3x3(plane, r0, r1, mn=v.mn, mx=v.mx, mnc=v.ext,
+                            mxc=v.ext)
+    algo.overshoot_rows(prelim, mn, mx, tail.params.overshoot, tail.final,
+                        r0, over=v.over, under=v.under)
+
+
+#: The executor's phases, in order; each is a span of a traced frame.
+PHASES = ("strips.downscale", "strips.pass1", "strips.reduce",
+          "strips.pass2")
 
 
 def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
@@ -295,37 +423,64 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
 
     ``levels`` is the reduction level chain the pEdge mean is folded
     through (see :func:`~repro.algo.stages.reduce_mean`; ``()`` for a
-    flat host sum).  Each phase runs in a span of ``trace``
-    (``strips.downscale``, ``strips.pass1``, ``strips.reduce``,
-    ``strips.pass2``).  Steady state allocates the returned output plane,
-    which the caller owns, and per strip only the overshoot blend's index
-    temporaries (a few bytes per overshooting pixel) and NumPy's casting
-    buffers, all freed before the strip ends: less than
-    :data:`STRIP_BYTES` beyond the output in all.
+    flat host sum).  Each phase of :data:`PHASES` is recorded as a span
+    of ``trace`` when the frame ends (a phase that raised, marked
+    ``error``).  Steady state allocates the returned output plane,
+    which the caller owns, the O(h + w) border ring and strength table,
+    and per strip only the overshoot blend's index temporaries (a few
+    bytes per overshooting pixel) and NumPy's casting buffers, all freed
+    before the strip ends.
     """
     h, w = plane.shape
+    u8 = plane.dtype == np.uint8
     # Strip j covers interior rows [1 + j*S, 1 + (j+1)*S) ∩ [1, h-1).
     step = ws.strip
     n_strips = -(-(h - 2) // step)
+    edge = ws.edge_plane(u8)
 
     def bounds(j: int) -> tuple[int, int]:
         return 1 + j * step, min(1 + (j + 1) * step, h - 1)
 
-    with STRIP_LANES.frame():
-        with trace.span("strips.downscale"):
-            algo.downscale(plane, out=ws.down, colsum=ws.colsum)
-        with trace.span("strips.pass1"):
-            STRIP_LANES.run(ws, n_strips, lambda j, s: _upscale_sobel_strip(
-                plane, ws, *bounds(j), s))
-            algo.upscale_border_apply(ws.up, ws.down)
-        with trace.span("strips.reduce"):
-            # The pEdge border ring is kept zero by Workspace.reset().
-            edge_mean = algo.reduce_mean(ws.edge, levels)
-        with trace.span("strips.pass2"):
+    # The phase spans are recorded once the frame is done, from times
+    # marked between the phases.  Opened and closed between the phases,
+    # they made instrumented 512² float frames 4.4% slower than plain
+    # ones (median of 12 fresh-process runs of
+    # benchmarks/bench_obs_overhead.py, 2-vCPU VM); recorded here, -0.2%.
+    now = trace.now
+    marks = [now()]
+    try:
+        with STRIP_LANES.frame():
+            colsum = ws.lanes[0].views(u8).colsum
+            block = colsum.shape[0] // 4
+            for k in range(0, h // 4, block):
+                algo.downscale(plane[4 * k:4 * (k + block)],
+                               out=ws.down[k:k + block], colsum=colsum)
+            marks.append(now())
+            STRIP_LANES.run(ws, n_strips, lambda j, s: _sobel_strip(
+                plane, edge, *bounds(j), s.views(u8)))
+            marks.append(now())
+            # Nothing writes the pEdge border ring, and Workspace.reset()
+            # restores it, so it is zero.
+            edge_mean = algo.reduce_mean(edge, levels)
+            marks.append(now())
+            ring = algo.upscale_border_ring(ws.down)
             final = np.empty((h, w), dtype=FLOAT)
+            lut = algo.strength_table(edge_mean, params) if u8 else None
+            tail = _Tail(edge, edge_mean, lut, ring, params, final)
             STRIP_LANES.run(ws, n_strips, lambda j, s: _sharpen_strip(
-                plane, ws, *bounds(j), s, edge_mean, params, final))
+                plane, ws, *bounds(j), s.views(u8), tail))
             # On the one-pixel border the edge map is zero, so the
-            # preliminary image equals ``up`` there.
-            algo.clip_border(ws.up, final)
+            # preliminary image equals the upscaled plane there.
+            top_bottom, sides = ring
+            algo.clip_border(top_bottom[0], top_bottom[3], sides[:, 0],
+                             sides[:, 3], final)
+            marks.append(now())
+    finally:
+        failed = len(marks) <= len(PHASES)
+        if failed:
+            marks.append(now())
+        for name, start, end in zip(PHASES, marks, marks[1:]):
+            span = trace.add_span(name, start, end)
+        if failed:
+            span.set(error=True)
     return final, edge_mean

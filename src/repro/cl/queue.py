@@ -35,6 +35,7 @@ from collections import Counter
 import numpy as np
 
 from ..errors import InvalidBufferError, MapError, QueueError
+from ..obs.metrics import Updates
 from ..obs.runctx import NULL_CONTEXT
 from ..simgpu.costmodel import kernel_time
 from ..simgpu.emulator import run_kernel
@@ -43,38 +44,50 @@ from .context import MODE_DRYRUN, MODE_EMULATE
 from .kernel import Kernel
 
 
-def record_commands(obs, timeline, transfer_bytes: dict[str, int]) -> None:
+def record_commands(obs, timeline, transfer_bytes: dict[str, int], *,
+                    key=None) -> None:
     """Write one frame's queue-level metrics from its simulated timeline.
 
     ``repro_cl_commands_total{kind}`` counts the timeline's events,
     ``repro_cl_kernel_seconds{kernel}`` observes each kernel event's
     ``end - start``, and ``repro_cl_transfer_bytes_total{direction}`` adds
-    ``transfer_bytes`` (the queue's per-direction totals).
+    ``transfer_bytes`` (the queue's per-direction totals).  ``key`` (held
+    weakly; a GPU frame passes its execution plan) marks frames with the
+    same timeline: their updates are resolved once per key
+    (:meth:`~repro.obs.RunContext.memoize`).
     """
     if not obs.enabled:
         return
-    metrics = obs.metrics
-    commands = metrics.counter(
-        "repro_cl_commands_total", "Enqueued commands by kind", ("kind",),
-    )
-    for kind, count in Counter(ev.kind for ev in timeline.events).items():
-        commands.labels(kind=kind).inc(count)
-    kernel_hist = metrics.histogram(
-        "repro_cl_kernel_seconds",
-        "Simulated kernel duration per dispatched kernel (seconds)",
-        ("kernel",),
-    )
-    for ev in timeline.of_kind("kernel"):
-        kernel_hist.labels(
-            kernel=ev.name.removeprefix("kernel:")).observe(ev.duration)
-    transfers = metrics.counter(
-        "repro_cl_transfer_bytes_total",
-        "Host<->device bytes moved over the simulated PCI-E link",
-        ("direction",),
-    )
-    for direction, nbytes in transfer_bytes.items():
-        if nbytes:
-            transfers.labels(direction=direction).inc(nbytes)
+
+    def build() -> Updates:
+        updates = Updates()
+        metrics = obs.metrics
+        commands = metrics.counter(
+            "repro_cl_commands_total", "Enqueued commands by kind",
+            ("kind",),
+        )
+        for kind, count in Counter(ev.kind for ev in timeline.events).items():
+            updates.inc(commands.labels(kind=kind), count)
+        kernel_hist = metrics.histogram(
+            "repro_cl_kernel_seconds",
+            "Simulated kernel duration per dispatched kernel (seconds)",
+            ("kernel",),
+        )
+        for ev in timeline.of_kind("kernel"):
+            updates.observe(
+                kernel_hist.labels(kernel=ev.name.removeprefix("kernel:")),
+                ev.duration)
+        transfers = metrics.counter(
+            "repro_cl_transfer_bytes_total",
+            "Host<->device bytes moved over the simulated PCI-E link",
+            ("direction",),
+        )
+        for direction, nbytes in transfer_bytes.items():
+            if nbytes:
+                updates.inc(transfers.labels(direction=direction), nbytes)
+        return updates
+
+    (build() if key is None else obs.memoize(key, "commands", build)).apply()
 
 
 class CommandQueue:

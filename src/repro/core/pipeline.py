@@ -198,7 +198,8 @@ class GPUPipeline:
                         image.pixels, self.params, ws, trace=obs.trace)
             # Simulated costs never depend on pixel values, so every frame's
             # timeline, stage times and placements come from its plan.
-            record_commands(obs, plan.timeline, plan.transfer_bytes)
+            record_commands(obs, plan.timeline, plan.transfer_bytes,
+                            key=plan)
             if cached:
                 self.buffer_pool.publish(obs)
         result = FrameResult(
@@ -212,7 +213,7 @@ class GPUPipeline:
             kernel_launches=plan.kernel_launches,
         )
         obs.record_frame(
-            self.label, result, GPU_STAGE_ORDER, self.device.name,
+            self.label, result, GPU_STAGE_ORDER, self.device.name, key=plan,
             h=image.height, w=image.width,
             kernel_launches=result.kernel_launches,
             border_on_gpu=result.border_ran_on_gpu,

@@ -98,10 +98,14 @@ def _reduction_levels(flags: OptimizationFlags,
     return tuple(levels), stage2_gpu
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionPlan:
     """What one run of the generic host code measured (a dry run, for a
-    cached plan), and the frame-invariant facts derived from it."""
+    cached plan), and the frame-invariant facts derived from it.
+
+    A plan compares and hashes by identity: it is the key its frames'
+    telemetry is memoized under (:meth:`~repro.obs.RunContext.memoize`).
+    """
 
     key: PlanKey
     #: Immutable per-frame timeline template (content-independent costs).

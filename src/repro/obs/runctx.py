@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import pathlib
 import uuid
+import weakref
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, Mapping
+from typing import IO, Any, Callable, Iterable, Mapping
 
 from .log import Logger, NullLogger
-from .metrics import DURATION_BUCKETS, MetricsRegistry
+from .metrics import DURATION_BUCKETS, MetricsRegistry, Updates
 from .trace import NullTracer, Tracer
 
 #: Metric names shared by every pipeline.
@@ -57,6 +58,10 @@ class RunContext:
     #: Optional FaultPlan consulted by the simulated runtime's fault sites
     #: (typed loosely to keep obs import-free of the resilience layer).
     faults: Any = None
+    #: Per-key values of :meth:`memoize`.
+    _memo: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
+        compare=False)
 
     # -- constructors --------------------------------------------------------
 
@@ -105,28 +110,57 @@ class RunContext:
         pad-on-transfer); they get an empty histogram series rather than a
         misleading 0-second observation.
         """
-        if not self.enabled:
-            return
+        if self.enabled:
+            self._stage_updates(Updates(), pipeline, stage_seconds,
+                                declare).apply()
+
+    def _stage_updates(self, updates: Updates, pipeline: str,
+                       stage_seconds: Mapping[str, float],
+                       declare: Iterable[str]) -> Updates:
         hist = self.stage_histogram()
         for stage in declare:
             hist.labels(pipeline=pipeline, stage=stage)
         for stage, seconds in stage_seconds.items():
-            hist.labels(pipeline=pipeline, stage=stage).observe(seconds)
+            updates.observe(hist.labels(pipeline=pipeline, stage=stage),
+                            seconds)
+        return updates
 
     def record_run(self, pipeline: str, simulated_seconds: float) -> None:
         """Count a completed pipeline run and its end-to-end time."""
-        if not self.enabled:
-            return
-        self.metrics.counter(
+        if self.enabled:
+            self._run_updates(Updates(), pipeline, simulated_seconds).apply()
+
+    def _run_updates(self, updates: Updates, pipeline: str,
+                     simulated_seconds: float) -> Updates:
+        updates.inc(self.metrics.counter(
             PIPELINE_RUNS, "Completed pipeline runs", ("pipeline",)
-        ).labels(pipeline=pipeline).inc()
-        self.metrics.histogram(
+        ).labels(pipeline=pipeline))
+        updates.observe(self.metrics.histogram(
             PIPELINE_SECONDS, "End-to-end simulated pipeline time (seconds)",
             ("pipeline",), buckets=DURATION_BUCKETS,
-        ).labels(pipeline=pipeline).observe(simulated_seconds)
+        ).labels(pipeline=pipeline), simulated_seconds)
+        return updates
+
+    def memoize(self, key: Any, name: str, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per ``(key, name)`` in this context.
+
+        ``key`` is held weakly, so its entries go when it does.  This is
+        how a replayed frame's telemetry costs the same whatever its
+        stages: :meth:`record_frame` and
+        :func:`~repro.cl.queue.record_commands` resolve a plan's metric
+        updates at its first frame and re-apply them after.
+        """
+        memo = self._memo.get(key)
+        if memo is None:
+            memo = self._memo.setdefault(key, {})
+        value = memo.get(name)
+        if value is None:
+            value = memo[name] = build()
+        return value
 
     def record_frame(self, pipeline: str, result, declare: Iterable[str],
-                     device: str, **fields: Any) -> None:
+                     device: str, *, key: Any = None,
+                     **fields: Any) -> None:
         """Record one finished frame of any backend.
 
         ``result`` is a :class:`~repro.types.FrameResult`: its stage times
@@ -134,11 +168,22 @@ class RunContext:
         feeds :meth:`record_run`, its timeline is merged into the trace as
         the process row ``"<device> [<pipeline>]"``, and a
         ``pipeline.complete`` log line carries ``fields``.
+
+        ``key`` (held weakly; a GPU frame passes its execution plan) marks
+        frames whose times are all the same: their metric updates are
+        resolved once per key and ``pipeline`` (:meth:`memoize`).
         """
         if not self.enabled:
             return
-        self.observe_stages(pipeline, result.times.times, declare=declare)
-        self.record_run(pipeline, result.total_time)
+
+        def build() -> Updates:
+            updates = self._stage_updates(Updates(), pipeline,
+                                          result.times.times, declare)
+            return self._run_updates(updates, pipeline, result.total_time)
+
+        updates = (build() if key is None
+                   else self.memoize(key, "frame:" + pipeline, build))
+        updates.apply()
         self.trace.merge_timeline(result.timeline,
                                   label=f"{device} [{pipeline}]")
         self.log.info("pipeline.complete", pipeline=pipeline, **fields,

@@ -107,7 +107,8 @@ class Tracer:
         self._lock = threading.Lock()
         #: Thread name per host row; ``tid`` is the index + 1.
         self._threads: list[str] = []
-        self._merged: list[dict] = []
+        #: ``(pid, label, events)`` per merged timeline.
+        self._merged: list[tuple[int, str, tuple]] = []
         self._next_pid = HOST_PID + 1
 
     # -- spans ---------------------------------------------------------------
@@ -147,6 +148,22 @@ class Tracer:
         stack.append(span)
         return _SpanHandle(self, span)
 
+    def add_span(self, name: str, start: float, end: float,
+                 **attrs: Any) -> Span:
+        """Record a finished span of this thread, timed by the caller on
+        :meth:`now`, under this thread's open span (if any)."""
+        state = self._state()
+        stack = state.stack
+        parent = stack[-1] if stack else None
+        span = Span(
+            name=name, start=start, end=end, parent=parent,
+            depth=parent.depth + 1 if parent is not None else 0,
+            tid=state.tid, args=dict(attrs),
+        )
+        with self._lock:
+            self.spans.append(span)
+        return span
+
     def _close(self, span: Span, *, error: bool = False) -> None:
         stack = self._local.stack
         if not stack or stack[-1] is not span:
@@ -177,26 +194,9 @@ class Tracer:
             if pid is None:
                 pid = self._next_pid
                 self._next_pid += 1
-            self._merged.append({
-                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"name": label},
-            })
-            for kind, tid in _SIM_ROWS.items():
-                self._merged.append({
-                    "name": "thread_name", "ph": "M", "pid": pid,
-                    "tid": tid, "args": {"name": kind},
-                })
-            for e in timeline.events:
-                self._merged.append({
-                    "name": e.name,
-                    "cat": e.kind,
-                    "ph": "X",
-                    "ts": e.start * 1e6,
-                    "dur": e.duration * 1e6,
-                    "pid": pid,
-                    "tid": _SIM_ROWS.get(e.kind, 9),
-                    "args": {"stage": e.stage},
-                })
+            # Expanded into events at export: the events are frozen and a
+            # timeline only grows, so the snapshot is all a merge keeps.
+            self._merged.append((pid, label, tuple(timeline.events)))
         return pid
 
     # -- export --------------------------------------------------------------
@@ -229,7 +229,8 @@ class Tracer:
                 "tid": span.tid,
                 "args": dict(span.args),
             })
-        events.extend(merged)
+        for pid, label, sim_events in merged:
+            events.extend(_merged_events(pid, label, sim_events))
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def write_chrome_trace(self, path: str | pathlib.Path) -> pathlib.Path:
@@ -237,6 +238,31 @@ class Tracer:
         return atomic_write_text(
             path, json.dumps(self.chrome_trace(), indent=1)
         )
+
+
+def _merged_events(pid: int, label: str, sim_events) -> list[dict]:
+    """The Chrome-trace events of one merged timeline's process row."""
+    events = [{
+        "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+        "args": {"name": label},
+    }]
+    for kind, tid in _SIM_ROWS.items():
+        events.append({
+            "name": "thread_name", "ph": "M", "pid": pid,
+            "tid": tid, "args": {"name": kind},
+        })
+    for e in sim_events:
+        events.append({
+            "name": e.name,
+            "cat": e.kind,
+            "ph": "X",
+            "ts": e.start * 1e6,
+            "dur": e.duration * 1e6,
+            "pid": pid,
+            "tid": _SIM_ROWS.get(e.kind, 9),
+            "args": {"stage": e.stage},
+        })
+    return events
 
 
 class _NullSpanHandle:
@@ -266,6 +292,10 @@ class NullTracer(Tracer):
 
     def span(self, name: str, parent: Any = None,  # type: ignore[override]
              **attrs: Any) -> _NullSpanHandle:
+        return _NULL_SPAN
+
+    def add_span(self, name: str, start: float,  # type: ignore[override]
+                 end: float, **attrs: Any) -> _NullSpanHandle:
         return _NULL_SPAN
 
     def merge_timeline(self, timeline, *, label: str = "simulated device",

@@ -136,7 +136,11 @@ def write_pgm(path, plane: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a P6 (binary) PPM file as an ``(H, W, 3)`` float64 array."""
+    """Read a P6 (binary) PPM file as an ``(H, W, 3)`` float64 array.
+
+    A sample above ``maxval`` is a corrupt file and raises
+    :class:`~repro.errors.ValidationError`, as in :func:`read_pgm`.
+    """
     data = pathlib.Path(path).read_bytes()
     (magic,), pos = _read_tokens(data, 1)
     if magic != b"P6":
@@ -149,6 +153,10 @@ def read_ppm(path) -> np.ndarray:
     if len(raster) < 3 * w * h:
         raise ValidationError("truncated PPM raster")
     rgb = np.frombuffer(raster, dtype=np.uint8, count=3 * w * h)
+    if maxval != 255 and np.any(rgb > maxval):
+        raise ValidationError(
+            f"PPM sample {int(rgb.max())} exceeds maxval {maxval}"
+        )
     out = rgb.reshape(h, w, 3).astype(np.float64)
     if maxval != 255:
         out *= 255.0 / maxval

@@ -48,6 +48,18 @@ class TestExitTwo:
         assert "exceeds maxval" in err
         assert "Traceback" not in err
 
+    def test_ppm_sample_above_maxval(self, tmp_path, capsys):
+        bad = tmp_path / "over.ppm"
+        raster = bytearray(16 * 16 * 3)
+        raster[37] = 200
+        bad.write_bytes(b"P6\n16 16\n15\n" + bytes(raster))
+        rc, err = run(capsys, ["sharpen", str(bad),
+                               str(tmp_path / "out.ppm")])
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert "exceeds maxval" in err
+        assert "Traceback" not in err
+
     def test_directory_as_input(self, tmp_path, capsys):
         trap = tmp_path / "dir.pgm"
         trap.mkdir()

@@ -116,7 +116,7 @@ class TestPoolHygiene:
     def test_poisoned_workspace_produces_identical_frames(self, monkeypatch):
         # Three-row strips on three lanes, so the workspace owns several
         # lanes' strip scratch.
-        monkeypatch.setattr(strips, "STRIP_BYTES", 3 * 8 * 32)
+        monkeypatch.setattr(strips, "strip_rows", lambda h, w: 3)
         monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(3))
         frames = [Image.from_array(f)
                   for f in images.video_sequence(32, 32, 3, seed=5)]
@@ -128,7 +128,7 @@ class TestPoolHygiene:
         #                          builds and parks the workspace
         poisoned.run(frames[0])  # hit: reuses and parks it again
         (ws,) = poisoned.buffer_pool._idle[(32, 32)]
-        assert len(ws.lanes) == 3
+        assert ws.strip == 3 and len(ws.lanes) == 3
         arrays = _owned_arrays(ws)
         assert ws.nbytes == sum(a.nbytes for a in arrays)
         for a in arrays:

@@ -150,6 +150,9 @@ class TestPlanCorrectness:
 #: in a ragged two-row strip.
 _STRIP_2048 = strips.strip_rows(4096, 2048)
 _RAGGED = (2 * _STRIP_2048 + 4, 2048)
+#: A 2048-wide frame 68 rows tall: one strip then a ragged two-row
+#: strip.
+_SHORT_RAGGED = (68, 2048)
 
 
 def _frame(shape, kind, seed):
@@ -158,9 +161,10 @@ def _frame(shape, kind, seed):
 
 
 def _small_strips(monkeypatch, rows, cpus):
-    """Strips of ``rows`` rows for frames up to 64 wide, on ``cpus``
-    lanes regardless of the host."""
-    monkeypatch.setattr(strips, "STRIP_BYTES", rows * 8 * 64)
+    """Strips of ``rows`` rows, on ``cpus`` lanes regardless of the
+    host."""
+    monkeypatch.setattr(strips, "strip_rows",
+                        lambda h, w: max(1, min(h - 2, rows)))
     monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(cpus))
 
 
@@ -169,7 +173,7 @@ class TestStripExecutor:
     @pytest.mark.parametrize("flags", [OPTIMIZED, BASE],
                              ids=["optimized", "base"])
     @pytest.mark.parametrize("shape", [(16, 16), (20, 36), (640, 480),
-                                       _RAGGED], ids=str)
+                                       _SHORT_RAGGED, _RAGGED], ids=str)
     def test_bit_identical_on_ragged_and_minimal_shapes(self, shape, flags,
                                                         kind):
         frame = _frame(shape, kind, seed=11)
@@ -197,6 +201,9 @@ class TestStripExecutor:
         h, w = _RAGGED
         strip = strips.strip_rows(h, w)
         assert strip == _STRIP_2048 and (h - 2) % strip == 2
+        h, w = _SHORT_RAGGED
+        assert (h - 2) // strips.strip_rows(h, w) == 1
+        assert (h - 2) % strips.strip_rows(h, w) == 2
 
     @pytest.mark.parametrize("rows", [1, 3, 5])
     def test_multi_lane_equals_single_lane(self, monkeypatch, rows):
@@ -264,9 +271,14 @@ def _traced_peak(fn):
     return result, peak - base
 
 
+#: What a warm frame may allocate beyond its output plane (and the 8-bit
+#: image's own copy of its pixels): 512 KiB, pinned as a number.
+_WARM_ALLOC_BOUND = 512 << 10
+
+
 class TestStripAllocations:
     """A warm frame allocates its output plane, the 8-bit image's own copy
-    of its pixels, and less than one strip's scratch worth of
+    of its pixels, and less than :data:`_WARM_ALLOC_BOUND` of
     temporaries."""
 
     @pytest.mark.parametrize("kind", ["u8", "float"])
@@ -283,7 +295,7 @@ class TestStripAllocations:
 
         run()  # warm: both lanes' scratch and the helper thread
         (final, _), peak = _traced_peak(run)
-        assert peak - final.nbytes < strips.STRIP_BYTES
+        assert peak - final.nbytes < _WARM_ALLOC_BOUND
 
     @pytest.mark.parametrize("side", [512, 1024])
     def test_warm_gpu_run_of_u8(self, monkeypatch, side):
@@ -294,7 +306,7 @@ class TestStripAllocations:
         pipe.run(frame)  # warm the pooled workspace's lanes
         result, peak = _traced_peak(lambda: pipe.run(frame))
         assert pipe.plan_cache.stats()["hits"] == 2
-        assert peak < result.final.nbytes + frame.size + strips.STRIP_BYTES
+        assert peak < result.final.nbytes + frame.size + _WARM_ALLOC_BOUND
 
 
 class TestStripConcurrency:
@@ -335,7 +347,9 @@ class TestStripConcurrency:
     def test_failing_lane_reaches_the_caller(self, monkeypatch):
         _small_strips(monkeypatch, rows=3, cpus=4)
         frame = _frame((36, 64), "u8", seed=3)
-        pipe = GPUPipeline(OPTIMIZED)
+        obs = RunContext.create("lane-fail", log_level="warning",
+                                log_stream=io.StringIO())
+        pipe = GPUPipeline(OPTIMIZED, obs=obs)
         pipe.run(frame)  # capture
         original = strips._sharpen_strip
 
@@ -347,6 +361,12 @@ class TestStripConcurrency:
         monkeypatch.setattr(strips, "_sharpen_strip", failing)
         with pytest.raises(RuntimeError, match="lane failed"):
             pipe.run(frame)
+        # The phases that ran are still traced; the failing one says so.
+        failed_run = [s for s in obs.trace.spans if s.name == "gpu.run"][1]
+        phases = [s for s in obs.trace.spans if s.parent is failed_run]
+        assert [s.name for s in phases] == list(strips.PHASES)
+        assert [s.args.get("error", False) for s in phases] == [
+            False, False, False, True]
         assert pipe.buffer_pool.stats()["in_use"] == 0
         assert strips.STRIP_LANES.busy() == 0
         # The workspace the failed frame used is clean for the next one.

@@ -139,6 +139,14 @@ class TestPpm:
         with pytest.raises(ValidationError, match="PPM"):
             read_ppm(path)
 
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.ppm"
+        raster = bytearray(16 * 16 * 3)
+        raster[37] = 200
+        path.write_bytes(b"P6\n16 16\n15\n" + bytes(raster))
+        with pytest.raises(ValidationError, match="exceeds maxval"):
+            read_ppm(path)
+
 
 class TestColor:
     def test_ycbcr_roundtrip(self, rng):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.obs import MetricsRegistry
+from repro.obs.metrics import Updates
 
 
 class TestCounterGauge:
@@ -84,6 +85,30 @@ class TestHistogramMath:
         h = MetricsRegistry().histogram("h", buckets=(1.0, 2.0)).labels()
         h.observe(1.0)
         assert h.cumulative_buckets()[0] == (1.0, 1)
+
+
+class TestUpdates:
+    def test_apply_matches_direct_calls(self):
+        direct, batched = MetricsRegistry(), MetricsRegistry()
+        values = (0.1, 0.2, 3.0, 0.7, 1e-7, 100.0)
+        for reg in (direct, batched):
+            reg.counter("c", labelnames=("k",))
+            reg.histogram("h", buckets=(0.5, 1.0, 5.0))
+        updates = Updates()
+        for v in values:
+            updates.observe(batched.get("h").labels(), v)
+            updates.inc(batched.get("c").labels(k="a"), 3)
+        for _ in range(2):
+            updates.apply()
+            for v in values:
+                direct.get("h").labels().observe(v)
+                direct.get("c").labels(k="a").inc(3)
+        assert batched.to_prometheus_text() == direct.to_prometheus_text()
+
+    def test_negative_increment_rejected_when_added(self):
+        child = MetricsRegistry().counter("c").labels()
+        with pytest.raises(ValidationError):
+            Updates().inc(child, -1)
 
 
 class TestPrometheusText:

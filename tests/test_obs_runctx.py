@@ -171,6 +171,40 @@ class TestOneRecordPerFrame:
         assert labels == ["gpu", "gpu", "cpu", "cpu-fallback"]
 
 
+class TestPlanTelemetry:
+    def test_replayed_frames_record_as_generic_ones(self):
+        # A caching pipeline resolves its plan's metric updates once; its
+        # registry must read exactly as an uncached pipeline's, whose
+        # every frame builds them afresh.
+        img = images.natural_like(64, 64, seed=0)
+        texts = []
+        for caching in (True, False):
+            obs = make_obs()
+            pipe = GPUPipeline(OPTIMIZED, obs=obs, caching=caching)
+            for _ in range(3):
+                pipe.run(img)
+            texts.append(obs.metrics.to_prometheus_text())
+        cached, generic = texts
+        drop = ("repro_plan_cache", "repro_bufferpool")
+        keep = [ln for ln in cached.splitlines()
+                if not any(d in ln for d in drop)]
+        assert keep == generic.splitlines()
+
+    def test_memo_is_per_key_and_dropped_with_it(self):
+        obs = make_obs()
+
+        class Key:
+            pass
+
+        key, built = Key(), []
+        for _ in range(2):
+            assert obs.memoize(key, "x", lambda: built.append(1) or
+                               len(built)) == 1
+        assert obs.memoize(Key(), "x", lambda: "other") == "other"
+        del key
+        assert len(obs._memo) == 0
+
+
 class TestFig13FromRegistry:
     def test_fractions_sum_to_one(self):
         for version in fig13_fractions.VERSIONS:

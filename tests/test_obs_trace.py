@@ -81,6 +81,19 @@ class TestSpans:
         with handle:
             pass
 
+    def test_add_span_records_under_the_open_span(self):
+        tr = make_tracer()
+        with tr.span("outer"):
+            t0 = tr.now()
+            t1 = tr.now()
+            span = tr.add_span("phase", t0, t1, k=1)
+        outer, added = tr.spans
+        assert added is span
+        assert added.parent is outer and added.depth == 1
+        assert (added.start, added.end, added.args) == (t0, t1, {"k": 1})
+        root = tr.add_span("root", t1, t1)
+        assert root.parent is None and root.depth == 0
+
     def test_closing_out_of_order_raises(self):
         tr = make_tracer()
         outer = tr.span("outer")
@@ -276,6 +289,8 @@ class TestNullTracer:
         tr = NullTracer()
         with tr.span("s", k=1) as h:
             h.set(x=2)
+        assert tr.spans == []
+        tr.add_span("s", 0.0, 1.0).set(x=2)
         assert tr.spans == []
         assert tr.merge_timeline(Timeline()) == 0
         assert tr.chrome_trace()["traceEvents"][0]["ph"] == "M"
