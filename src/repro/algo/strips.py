@@ -18,7 +18,7 @@ strip at a time.  The phases:
 
 1. **downscale**, on the calling thread, per block of ``4 * (strip //
    4)`` input rows into ``down``, with the block's column sums in the
-   first lane's arena (on two cores a lane pass here saved under 1 ms
+   calling lane's arena (on two cores a lane pass here saved under 1 ms
    at 2048² and nothing at 512², and its extra hand-off to a helper
    thread made instrumented frames slower than plain ones);
 2. **pass 1**, a pass of the strip lanes, per strip of the ``h - 2``
@@ -34,18 +34,25 @@ strip at a time.  The phases:
    the overshoot blend into the output; then the output's border lines
    from the ring.
 
-Each lane's scratch is one arena (:class:`StripScratch`) with typed
-views per frame dtype (:func:`_layout`); arrays that are never live
-together share its bytes, so an 8-bit strip needs
+Each busy lane's scratch is one arena (:class:`StripScratch`) with typed
+views per strip shape and frame dtype (:func:`_layout`); arrays that are
+never live together share its bytes, so an 8-bit strip needs
 :data:`U8_PX_BYTES` = 24 bytes per pixel of a strip row and a float
 strip :data:`FLOAT_PX_BYTES` = 32.  The strip height, the same for both
 dtypes, is the 8-bit arena budget :data:`STRIP_BYTES` divided by 24 and
 the width (:func:`strip_rows`).
 
 Strips of one frame run on :data:`STRIP_LANES`, a process-wide pool of
-lanes: each lane owns one :class:`StripScratch` of the workspace and
-writes disjoint rows, so pixels need no locking.  The lane rule keeps
-busy lanes at or below ``os.cpu_count()``: a pass asks for
+lanes that also owns the arenas, as a GPU's compute unit owns the local
+memory every workgroup dispatched to it reuses: a :class:`Workspace`
+keeps only the whole-frame planes.  Each pass checks one arena out of
+the lanes' free list per lane it runs on (the downscale, one for the
+calling lane), and returns them once every lane has stopped, so the
+process holds at most as many arenas, of about 4 MiB each, as lanes were
+ever dealt to passes at one time, whatever the shapes, pools and
+pipelines; an arena grows in place when a frame's strips need more
+bytes.  Lanes write disjoint rows, so pixels need no locking.  The lane
+rule keeps busy lanes at or below ``os.cpu_count()``: a pass asks for
 ``cpu_count // frames`` lanes, ``frames`` being the frames currently
 inside :func:`run` process-wide, and a helper lane stops taking strips
 once the busy lanes (one per frame inside :func:`run` plus the running
@@ -159,35 +166,42 @@ def _layout_bytes(spec: dict[str, tuple]) -> int:
 
 
 class StripScratch:
-    """One strip lane's host scratch: a single arena, viewed per frame
-    dtype as the arrays of :func:`_layout` (``layouts`` maps ``u8``,
-    whether the frame is 8-bit, to the layout of that dtype's strip
-    height)."""
+    """One busy strip lane's host scratch: a single arena, viewed as the
+    arrays of :func:`_layout` for each strip shape and frame dtype it
+    serves."""
 
-    def __init__(self, layouts: dict[bool, dict[str, tuple]]) -> None:
-        self._layouts = layouts
-        nbytes = max(_layout_bytes(spec) for spec in layouts.values())
-        self.arena = np.empty(-(-nbytes // 8), dtype=FLOAT)
-        # Typed views of the arena, built on first use per dtype.
-        self._views: dict[bool, SimpleNamespace] = {}
+    def __init__(self) -> None:
+        self.arena = np.empty(0, dtype=FLOAT)
+        # Typed views of the arena per (strip rows, width, u8), built on
+        # first use: rebuilding them costs about 40 us a pass.
+        self._views: dict[tuple[int, int, bool], SimpleNamespace] = {}
 
-    def views(self, u8: bool) -> SimpleNamespace:
-        """The arena's arrays for a strip of an 8-bit (``u8``) or float
-        frame, as attributes named as in :func:`_layout`."""
-        v = self._views.get(u8)
+    def views(self, n: int, w: int, u8: bool) -> SimpleNamespace:
+        """The arena's arrays for a strip of ``n`` rows of a ``w``-wide
+        8-bit (``u8``) or float frame, as attributes named as in
+        :func:`_layout`; an arena too small for them grows first."""
+        key = (n, w, u8)
+        v = self._views.get(key)
         if v is None:
+            spec = _layout(n, w, u8)
+            nbytes = _layout_bytes(spec)
+            if nbytes > self.arena.nbytes:
+                self.arena = np.empty(-(-nbytes // 8), dtype=FLOAT)
+                self._views.clear()
+            elif len(self._views) >= 16:  # a few shapes of both dtypes
+                del self._views[next(iter(self._views))]
             raw = self.arena.view(np.uint8)
             v = SimpleNamespace(**{
                 name: raw[off:off + _nbytes(shape, dt)].view(dt).reshape(shape)
-                for name, (off, shape, dt) in self._layouts[u8].items()})
-            self._views[u8] = v
+                for name, (off, shape, dt) in spec.items()})
+            self._views[key] = v
         return v
 
 
 class Workspace:
-    """Preallocated per-shape scratch for one in-flight frame: the
-    downscaled plane, the pEdge plane of each frame dtype, and one
-    :class:`StripScratch` per strip lane."""
+    """Preallocated per-shape planes for one in-flight frame: the
+    downscaled plane and the pEdge plane of each frame dtype.  The strip
+    scratch belongs to the lanes (:class:`StripLanes`)."""
 
     def __init__(self, h: int, w: int) -> None:
         if h % 4 or w % 4 or h < 16 or w < 16:
@@ -204,9 +218,6 @@ class Workspace:
         self.edge_float: np.ndarray | None = None
         #: Rows per strip.
         self.strip = strip_rows(h, w)
-        self._layouts = {u8: _layout(self.strip, w, u8)
-                         for u8 in (True, False)}
-        self.lanes = [StripScratch(self._layouts)]
 
     def edge_plane(self, u8: bool) -> np.ndarray:
         """The pEdge plane of an 8-bit (``u8``: ``int16``) or a float
@@ -224,18 +235,11 @@ class Workspace:
         h, w = self.h, self.w
         return self.edge_store.view(np.int16)[:h * w].reshape(h, w)
 
-    def lane_scratch(self, n: int) -> list[StripScratch]:
-        """The scratch of the first ``n`` strip lanes, built on first use."""
-        while len(self.lanes) < n:
-            self.lanes.append(StripScratch(self._layouts))
-        return self.lanes[:n]
-
     @property
     def nbytes(self) -> int:
-        """Total scratch footprint."""
+        """Total footprint of the planes."""
         return (self.down.nbytes + self.edge_store.nbytes
-                + (0 if self.edge_float is None else self.edge_float.nbytes)
-                + sum(s.arena.nbytes for s in self.lanes))
+                + (0 if self.edge_float is None else self.edge_float.nbytes))
 
     def reset(self) -> None:
         """Make the workspace frame-clean.
@@ -273,7 +277,9 @@ class StripLanes:
     The calling thread of :meth:`run` is always lane 0; extra lanes are
     helper threads of a pool created on first use.  Strips are taken one at
     a time, so lanes balance themselves and a helper can step back between
-    two strips when other frames enter the executor.
+    two strips when other frames enter the executor.  Each lane of a pass
+    runs on an arena checked out of the lanes' free list
+    (:meth:`scratch`).
     """
 
     def __init__(self, cpus: int) -> None:
@@ -285,6 +291,10 @@ class StripLanes:
         #: Helper lanes currently running a strip.
         self.helpers = 0
         self._pool: ThreadPoolExecutor | None = None
+        #: Arenas no lane holds, the latest returned last.
+        self._free: list[StripScratch] = []
+        #: Arenas made so far: the most lanes ever dealt at one time.
+        self.arenas = 0
 
     def busy(self) -> int:
         """Busy strip lanes: frames inside the executor plus running
@@ -303,23 +313,40 @@ class StripLanes:
             with self._lock:
                 self.frames -= 1
 
-    def run(self, ws: Workspace, n: int,
-            fn: Callable[[int, StripScratch], None]) -> None:
+    @contextlib.contextmanager
+    def scratch(self, n: int):
+        """Check ``n`` arenas out of the free list, making any it lacks,
+        and put them back when the block ends."""
+        with self._lock:
+            k = max(0, len(self._free) - n)
+            held, self._free = self._free[k:], self._free[:k]
+            self.arenas += n - len(held)
+        held += [StripScratch() for _ in range(n - len(held))]
+        try:
+            yield held
+        finally:
+            with self._lock:
+                self._free += held
+
+    def run(self, n: int, fn: Callable[[int, StripScratch], None]) -> None:
         """Call ``fn(strip, scratch)`` for every strip in ``range(n)`` and
         return once all have finished; the first error a lane raised is
-        re-raised here, after every lane has stopped touching ``ws``."""
+        re-raised here, after every lane has stopped touching its
+        arena."""
         with self._lock:
             lanes = max(1, min(n, self.cpus // max(self.frames, 1)))
-        scratch = ws.lane_scratch(lanes)
         job = _Strips(n, fn, self._lock)
-        if lanes > 1:
-            pool = self._executor()
-            for lane in scratch[1:]:
-                pool.submit(self._work, job, lane, True)
-        self._work(job, scratch[0], False)
-        with self._lock:
-            while job.running:
-                job.idle.wait()
+        with self.scratch(lanes) as scratch:
+            try:
+                if lanes > 1:
+                    pool = self._executor()
+                    for lane in scratch[1:]:
+                        pool.submit(self._work, job, lane, True)
+                self._work(job, scratch[0], False)
+            finally:
+                with self._lock:
+                    while job.running:
+                        job.idle.wait()
         if job.error is not None:
             raise job.error
 
@@ -449,15 +476,17 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
     now = trace.now
     marks = [now()]
     try:
-        with STRIP_LANES.frame():
-            colsum = ws.lanes[0].views(u8).colsum
-            block = colsum.shape[0] // 4
-            for k in range(0, h // 4, block):
-                algo.downscale(plane[4 * k:4 * (k + block)],
-                               out=ws.down[k:k + block], colsum=colsum)
+        lanes = STRIP_LANES
+        with lanes.frame():
+            with lanes.scratch(1) as (arena,):
+                colsum = arena.views(step, w, u8).colsum
+                block = colsum.shape[0] // 4
+                for k in range(0, h // 4, block):
+                    algo.downscale(plane[4 * k:4 * (k + block)],
+                                   out=ws.down[k:k + block], colsum=colsum)
             marks.append(now())
-            STRIP_LANES.run(ws, n_strips, lambda j, s: _sobel_strip(
-                plane, edge, *bounds(j), s.views(u8)))
+            lanes.run(n_strips, lambda j, s: _sobel_strip(
+                plane, edge, *bounds(j), s.views(step, w, u8)))
             marks.append(now())
             # Nothing writes the pEdge border ring, and Workspace.reset()
             # restores it, so it is zero.
@@ -467,8 +496,8 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
             final = np.empty((h, w), dtype=FLOAT)
             lut = algo.strength_table(edge_mean, params) if u8 else None
             tail = _Tail(edge, edge_mean, lut, ring, params, final)
-            STRIP_LANES.run(ws, n_strips, lambda j, s: _sharpen_strip(
-                plane, ws, *bounds(j), s.views(u8), tail))
+            lanes.run(n_strips, lambda j, s: _sharpen_strip(
+                plane, ws, *bounds(j), s.views(step, w, u8), tail))
             # On the one-pixel border the edge map is zero, so the
             # preliminary image equals the upscaled plane there.
             top_bottom, sides = ring

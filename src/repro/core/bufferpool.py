@@ -1,12 +1,12 @@
 """Buffer pool: per-shape executor workspaces, reused across frames.
 
-A :class:`~repro.algo.strips.Workspace` holds everything the strip
-executor (:func:`repro.algo.strips.run`) writes into for one frame shape:
-the downscaled plane, the pEdge plane of each frame dtype, and one strip
-lane's arena per lane.  Checking one out, running a frame, and checking
-it back in allocates nothing once the frame's lanes exist; ``reset``
-only re-zeros the pEdge border rings (four thin slices each — O(h + w)
-work), which is the sole cross-frame invariant the executor relies on.
+A :class:`~repro.algo.strips.Workspace` holds the whole-frame planes the
+strip executor (:func:`repro.algo.strips.run`) writes into for one frame
+shape: the downscaled plane and the pEdge plane of each frame dtype.
+Checking one out, running a frame, and checking it back in allocates
+nothing but the frame's output; ``reset`` only re-zeros the pEdge border
+rings (four thin slices each — O(h + w) work), which is the sole
+cross-frame invariant the executor relies on.
 
 :class:`BufferPool` keeps at most ``max_entries`` idle workspaces per
 shape.  Checkouts beyond the bound still succeed (a fresh workspace is
@@ -14,12 +14,13 @@ built) but the surplus is dropped at check-in, so a burst never grows the
 steady-state footprint.  All operations are thread-safe: the batch
 engine's workers share one pool.
 
-Memory note (``Workspace.nbytes``): 4.6 MiB at 512x512, 14.0 MiB at
-2048x2048 and 44.1 MiB at 4096x4096 with one strip lane.  The whole-frame
-part (the ``int16`` pEdge of an 8-bit frame and the downscaled plane) is
-2.5 bytes per pixel; the first float frame adds a float64 pEdge plane, 8
-more.  Each lane's arena is about 4 MiB at any width, 3 MiB of it used
-by 8-bit frames (8.6, 18.1 and 48.1 MiB with two lanes).  Size
+Memory note (``Workspace.nbytes``): a workspace is planes only, 2.5
+bytes per pixel (the ``int16`` pEdge of an 8-bit frame and the
+downscaled plane): 0.62 MiB at 512x512, 10.0 MiB at 2048x2048 and
+40.0 MiB at 4096x4096; the first float frame adds a float64 pEdge
+plane, 8 bytes per pixel more.  The strip scratch is process-wide: the
+strip lanes (:class:`~repro.algo.strips.StripLanes`) own one arena of
+about 4 MiB per lane busy at once, whatever the shapes and pools.  Size
 ``max_entries`` (and the batch worker count) to the frame resolution.
 """
 

@@ -48,7 +48,8 @@ class HealthReporter:
     """Mutable job-progress snapshot with atomic JSON export.
 
     Thread-safe: frame completions land from the engine's collector
-    thread while the watchdog ticks the periodic write.
+    thread while the watchdog ticks the periodic write; writes run one
+    at a time.
     """
 
     def __init__(self, *, job_id: str, frames_total: int,
@@ -62,6 +63,9 @@ class HealthReporter:
         self.interval = interval
         self.clock = clock
         self._lock = threading.Lock()
+        # Held over a whole write, so an older snapshot never replaces a
+        # newer one.
+        self._write_lock = threading.Lock()
         self._started = clock()
         self._last_write = 0.0
         self._state = "starting"
@@ -161,10 +165,11 @@ class HealthReporter:
         """Atomically write the snapshot file (no-op without a path)."""
         if self.path is None:
             return None
-        snap = self.snapshot()
-        atomic_write_text(self.path,
-                          json.dumps(snap, indent=1, sort_keys=True) + "\n")
-        self._last_write = snap["updated_unix"]
+        with self._write_lock:
+            snap = self.snapshot()
+            atomic_write_text(
+                self.path, json.dumps(snap, indent=1, sort_keys=True) + "\n")
+            self._last_write = snap["updated_unix"]
         return self.path
 
     def maybe_write(self) -> None:

@@ -89,6 +89,19 @@ _HANG_POLL_S = 0.01
 _KINDS = ("transient", "permanent")
 
 
+def _injected_error(site: str, spec: SiteSpec, detail: str) -> ReproError:
+    """The error a fired ``site`` raises.  Built here, so the raising
+    frame, which its traceback holds, keeps no reference to it (that
+    cycle would keep the failed call's buffers alive until a gc pass)."""
+    exc = _SITE_ERRORS[site](
+        f"injected {spec.kind} {site} fault"
+        + (f" ({detail})" if detail else "")
+    )
+    exc.transient = spec.kind == "transient"
+    exc.injected = True
+    return exc
+
+
 @dataclass(frozen=True)
 class SiteSpec:
     """Fault configuration of one site.
@@ -290,13 +303,7 @@ class FaultPlan:
         if site == "hang":
             self._stall(spec, detail=detail, cancel=cancel)
             return
-        exc = _SITE_ERRORS[site](
-            f"injected {spec.kind} {site} fault"
-            + (f" ({detail})" if detail else "")
-        )
-        exc.transient = spec.kind == "transient"
-        exc.injected = True
-        raise exc
+        raise _injected_error(site, spec, detail)
 
     @staticmethod
     def _stall(spec: SiteSpec, *, detail: str,

@@ -22,6 +22,7 @@ Outcome accounting lands in ``repro_retries_total{outcome}``:
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
@@ -167,17 +168,22 @@ def execute(fn, policy: RetryPolicy | None = None, *,
     """
     policy = policy or RetryPolicy()
     deadline = clock() + timeout.seconds if timeout is not None else None
-    last_exc: BaseException | None = None
-    for attempt in range(1, policy.max_attempts + 1):
+    # Every exit raises inside the except clause: a failure kept in a local
+    # past it would form a cycle with its traceback, which holds this
+    # frame, and keep the failed call's buffers alive until a gc pass.
+    for attempt in itertools.count(1):
         try:
             result = fn()
         except Exception as exc:  # noqa: BLE001  # repro: ignore[PL-BROAD-EXCEPT] classified below
-            last_exc = exc
             if not retryable(exc):
                 _count(obs, "permanent")
                 raise
             if attempt >= policy.max_attempts:
-                break
+                _count(obs, "exhausted")
+                raise RetryExhaustedError(
+                    f"{label or 'call'}: {policy.max_attempts} attempt(s) "
+                    "failed"
+                ) from exc
             if budget is not None and not budget.take():
                 _count(obs, "budget")
                 raise RetryExhaustedError(
@@ -207,7 +213,3 @@ def execute(fn, policy: RetryPolicy | None = None, *,
                         "retry.recovered", label=label, attempts=attempt,
                     )
             return result, attempt
-    _count(obs, "exhausted")
-    raise RetryExhaustedError(
-        f"{label or 'call'}: {policy.max_attempts} attempt(s) failed"
-    ) from last_exc

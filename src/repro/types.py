@@ -14,6 +14,7 @@ pipeline returns for one sharpened frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -62,9 +63,10 @@ def validate_plane(array: np.ndarray) -> np.ndarray:
     # uint8 value already lies in [0, 255].
     if arr.dtype == np.uint8:
         return out
-    if not np.issubdtype(arr.dtype, np.integer) and np.isnan(out).any():
-        raise ValidationError("image contains NaN values")
     lo, hi = float(out.min()), float(out.max())
+    # min and max propagate NaN, so no scan of its own finds one.
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValidationError("image contains NaN values")
     if lo < 0.0 or hi > 255.0:
         raise ValidationError(
             f"pixel values must lie in [0, 255], got range [{lo}, {hi}]"

@@ -13,10 +13,18 @@ from __future__ import annotations
 import os
 import pathlib
 import re
+import threading
 
 import numpy as np
 
 from ..errors import ValidationError
+
+
+def _temp_sibling(path: pathlib.Path) -> pathlib.Path:
+    """The temp file an atomic write of ``path`` goes through, named by
+    process and thread, so concurrent writers never share one."""
+    return path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
 
 
 def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
@@ -29,7 +37,7 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
     path.
     """
     path = pathlib.Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _temp_sibling(path)
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
@@ -43,7 +51,7 @@ def atomic_write_bytes(path: str | pathlib.Path,
                        data: bytes) -> pathlib.Path:
     """Binary sibling of :func:`atomic_write_text`: temp file + rename."""
     path = pathlib.Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _temp_sibling(path)
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)

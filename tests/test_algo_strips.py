@@ -9,6 +9,8 @@ float64 copy of the same pixels.
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -108,14 +110,25 @@ class TestStrengthTableAndIntegerSums:
 
 
 class TestWorkspaceSize:
-    """Two-lane workspaces, built without running a frame."""
+    """Workspaces and two lanes' arenas, built without running a frame."""
 
     @pytest.mark.parametrize("side, mib", [(512, 16.6), (2048, 86.2),
                                            (4096, 100.0)])
     def test_two_lane_workspace_size(self, side, mib):
         ws = strips.Workspace(side, side)
-        ws.lane_scratch(2)
-        assert len(ws.lanes) == 2
+        with strips.StripLanes(2).scratch(2) as arenas:
+            for arena in arenas:
+                for u8 in (True, False):
+                    arena.views(ws.strip, side, u8)
+        assert len(arenas) == 2
+        assert ws.nbytes + sum(a.arena.nbytes for a in arenas) <= mib * 2**20
+
+    @pytest.mark.parametrize("side, mib", [(512, 0.63), (2048, 10.01),
+                                           (4096, 40.01)])
+    def test_workspace_is_its_planes(self, side, mib):
+        # 2.5 bytes per pixel: the int16 pEdge and the downscaled plane.
+        ws = strips.Workspace(side, side)
+        assert ws.nbytes == ws.edge.nbytes + ws.down.nbytes
         assert ws.nbytes <= mib * 2**20
 
     def test_one_workspace_alternates_dtypes(self):
@@ -171,3 +184,97 @@ def test_arrays_alive_together_do_not_share_bytes(n, w, u8):
         for a, b in itertools.combinations(live, 2):
             (a0, a1), (b0, b1) = span(a), span(b)
             assert a1 <= b0 or b1 <= a0, (a, b)
+
+
+#: perfbench's mixed_job frame shapes.
+_JOB_SHAPES = ((256, 256), (384, 512), (512, 384), (512, 512), (256, 640),
+               (640, 480))
+
+
+class TestLanesOwnTheArenas:
+    """Frames of any shape and dtype share the lanes' arenas; a workspace
+    holds only its planes."""
+
+    @staticmethod
+    def _frames():
+        frames = []
+        for j, shape in enumerate(_JOB_SHAPES):
+            frame = _natural(shape, seed=j)
+            frames += [frame, frame.astype(np.float64)]
+        return frames
+
+    @staticmethod
+    def _sharpen_all(frames):
+        for frame in frames:
+            final, mean = strips.run(
+                frame, SharpnessParams(), strips.Workspace(*frame.shape), (),
+                NULL_CONTEXT.trace)
+            ref = algo.sharpen(frame)
+            assert np.array_equal(final, ref["final"])
+            assert mean == ref["edge_mean"]
+
+    def test_arenas_do_not_grow_with_shapes(self, monkeypatch):
+        lanes = strips.StripLanes(2)
+        monkeypatch.setattr(strips, "STRIP_LANES", lanes)
+        frames = self._frames()
+        self._sharpen_all(frames[:1])
+        assert lanes.arenas == 1  # 256 x 256 is a single strip
+        self._sharpen_all(frames)
+        # Two lanes per pass, one pass at a time: two arenas for twelve
+        # shapes and dtypes, all of them back in the free list.
+        assert lanes.arenas == 2
+        assert len(lanes._free) == 2
+        # None larger than the largest strip, a float one, needs.
+        largest = max(strips._layout_bytes(
+            strips._layout(strips.strip_rows(h, w), w, False))
+            for h, w in _JOB_SHAPES)
+        sizes = [arena.arena.nbytes for arena in lanes._free]
+        assert 0 <= max(sizes) - largest < 8
+        assert all(len(arena._views) <= 16 for arena in lanes._free)
+        assert lanes.busy() == 0
+
+    def test_two_threads_share_the_arenas(self, monkeypatch):
+        lanes = strips.StripLanes(2)
+        monkeypatch.setattr(strips, "STRIP_LANES", lanes)
+        frames = self._frames()
+        errors = []
+
+        def work(order):
+            try:
+                self._sharpen_all(frames[::order])
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(order,))
+                       for order in (1, -1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        # At most two lanes for a pass that starts alone plus one for the
+        # other frame's pass, whatever the shapes.
+        assert 2 <= lanes.arenas <= 3
+        assert len(lanes._free) == lanes.arenas
+        assert lanes.busy() == 0
+
+    def test_grows_in_place_and_drops_its_views(self):
+        arena = strips.StripScratch()
+        small = arena.views(3, 64, True)
+        store = arena.arena
+        assert arena.views(3, 64, True) is small
+        narrow = arena.views(3, 32, True)  # a smaller strip fits
+        assert arena.arena is store and np.shares_memory(narrow.err, store)
+        big = arena.views(9, 64, False)
+        assert arena.arena is not store
+        assert arena.arena.nbytes >= strips._layout_bytes(
+            strips._layout(9, 64, False))
+        assert list(arena._views) == [(9, 64, False)]
+        assert np.shares_memory(big.err, arena.arena)
+        assert arena.views(3, 64, True) is not small

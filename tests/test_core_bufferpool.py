@@ -23,7 +23,8 @@ from repro.util import images
 
 def _owned_arrays(obj, seen=None):
     """Every ndarray reachable from ``obj``'s attributes, through lists
-    and plain objects (a Workspace and its strip-lane scratch)."""
+    and plain objects (a Workspace's planes, or the strip lanes'
+    arenas)."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
@@ -114,8 +115,8 @@ class TestPoolHygiene:
     the zeroed pEdge ring."""
 
     def test_poisoned_workspace_produces_identical_frames(self, monkeypatch):
-        # Three-row strips on three lanes, so the workspace owns several
-        # lanes' strip scratch.
+        # Three-row strips on three lanes, so the lanes hold several
+        # arenas, poisoned with the workspace.
         monkeypatch.setattr(strips, "strip_rows", lambda h, w: 3)
         monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(3))
         frames = [Image.from_array(f)
@@ -128,10 +129,12 @@ class TestPoolHygiene:
         #                          builds and parks the workspace
         poisoned.run(frames[0])  # hit: reuses and parks it again
         (ws,) = poisoned.buffer_pool._idle[(32, 32)]
-        assert ws.strip == 3 and len(ws.lanes) == 3
+        assert ws.strip == 3 and strips.STRIP_LANES.arenas == 3
         arrays = _owned_arrays(ws)
         assert ws.nbytes == sum(a.nbytes for a in arrays)
-        for a in arrays:
+        arenas = _owned_arrays(strips.STRIP_LANES._free)
+        assert len(arenas) == 3
+        for a in arrays + arenas:
             a[...] = True if a.dtype == bool else np.nan
         for f, expected in zip(frames, ref):
             assert np.array_equal(poisoned.run(f).final, expected)

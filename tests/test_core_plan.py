@@ -216,7 +216,7 @@ class TestStripExecutor:
             outputs[cpus] = [pipe.run(f) for f in frames]
             (ws,) = pipe.buffer_pool._idle[(36, 64)]
             assert ws.strip == rows
-            assert len(ws.lanes) == min(cpus, -(-34 // rows))
+            assert strips.STRIP_LANES.arenas == min(cpus, -(-34 // rows))
             # The CPU pipeline runs the same strips with the flat mean.
             cpu_outputs[cpus] = [CPUPipeline().run(f) for f in frames]
         generic = GPUPipeline(OPTIMIZED, caching=False)
@@ -253,7 +253,7 @@ class TestStripExecutor:
                 assert np.array_equal(res.final, canon["final"])
                 assert res.edge_mean == ref.edge_mean == canon["edge_mean"]
         (ws,) = pipe.buffer_pool._idle[(36, 64)]
-        assert ws.strip == rows and len(ws.lanes) == 2
+        assert ws.strip == rows and strips.STRIP_LANES.arenas == 2
         assert strips.STRIP_LANES.busy() == 0
 
 
@@ -296,6 +296,20 @@ class TestStripAllocations:
         run()  # warm: both lanes' scratch and the helper thread
         (final, _), peak = _traced_peak(run)
         assert peak - final.nbytes < _WARM_ALLOC_BOUND
+
+    @pytest.mark.parametrize("kind", ["u8", "float"])
+    @pytest.mark.parametrize("side", [512, 1024])
+    def test_cpu_frame_on_warm_lanes(self, monkeypatch, side, kind):
+        # The CPU pipeline builds a workspace per frame; on warm lanes it
+        # allocates the workspace's planes and no strip arena.
+        monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(2))
+        image = Image.from_array(_frame((side, side), kind, seed=4))
+        ws = strips.Workspace(side, side)
+        ws.edge_plane(kind == "u8")
+        pipe = CPUPipeline()
+        pipe.run(image)  # warm: both lanes' arenas and the helper thread
+        result, peak = _traced_peak(lambda: pipe.run(image))
+        assert peak < result.final.nbytes + ws.nbytes + _WARM_ALLOC_BOUND
 
     @pytest.mark.parametrize("side", [512, 1024])
     def test_warm_gpu_run_of_u8(self, monkeypatch, side):

@@ -3,6 +3,7 @@ health — all in-process (the subprocess SIGKILL story lives in
 ``test_lifecycle_kill_resume.py``)."""
 
 import json
+import sys
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.lifecycle import (
     EXIT_OK,
     EXIT_RUNTIME,
     FrameWatch,
+    HealthReporter,
     JobJournal,
     LifecycleConfig,
     Manifest,
@@ -398,3 +400,38 @@ class TestWatchdogUnit:
         tokens = [watch.begin(i, f"{i}.pgm") for i in range(3)]
         assert watch.cancel_all() == 3
         assert all(t.is_set() for t in tokens)
+
+
+class TestHealthFileWriters:
+    def test_concurrent_writes(self, tmp_path):
+        # The watchdog and the frame collector both write the health file;
+        # a short switch interval interleaves their writes.
+        path = tmp_path / "health.json"
+        reporter = HealthReporter(job_id="race", frames_total=400,
+                                  path=path)
+        start = threading.Barrier(2, timeout=10)
+        errors = []
+
+        def writer():
+            try:
+                start.wait()
+                for i in range(300):
+                    reporter.update(completed=i)
+                    reporter.write()
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert json.loads(path.read_text())["job_id"] == "race"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["health.json"]

@@ -1,18 +1,21 @@
 """Retry policy: deterministic backoff, budget, timeout, outcome metrics."""
 
+import gc
 import io
+import weakref
 
 import pytest
 
 from repro.errors import (
     ConfigError,
     FrameTimeoutError,
+    KernelLaunchFault,
     RetryExhaustedError,
     TransferFault,
     ValidationError,
 )
 from repro.obs import RunContext
-from repro.resilience import RetryBudget, RetryPolicy, Timeout
+from repro.resilience import FaultPlan, RetryBudget, RetryPolicy, Timeout
 from repro.resilience.policy import execute
 
 
@@ -183,3 +186,36 @@ class TestExecute:
         fn = Flaky(failures=3)
         execute(fn, policy, sleep=slept.append)
         assert slept == policy.schedule()
+
+
+class _Buffer:
+    """Stands in for the device buffers a failed call's frames hold."""
+
+
+class TestFailedCallsLeaveNoCycles:
+    """A failure's traceback holds the frames of the failed call; nothing
+    may tie it back to them, or their buffers live until a gc pass."""
+
+    @pytest.mark.parametrize("kind", ["permanent", "transient"])
+    def test_buffers_die_with_the_error(self, kind):
+        plan = FaultPlan.parse(f"kernel:rate=1.0,kind={kind}")
+        refs = []
+
+        def call():
+            buf = _Buffer()
+            refs.append(weakref.ref(buf))
+            plan.check("kernel", detail="launch")
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            try:
+                execute(call, RetryPolicy(max_attempts=2),
+                        sleep=lambda s: None)
+            except (KernelLaunchFault, RetryExhaustedError):
+                pass
+            assert len(refs) == (1 if kind == "permanent" else 2)
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()

@@ -59,6 +59,20 @@ class TestValidatePlane:
         with pytest.raises(ValidationError, match="NaN"):
             validate_plane(plane)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_infinities(self, value):
+        plane = np.zeros((16, 16))
+        plane[2, 9] = value
+        with pytest.raises(ValidationError, match=r"\[0, 255\]"):
+            validate_plane(plane)
+
+    def test_rejects_nan_beside_an_infinity(self):
+        plane = np.zeros((16, 16))
+        plane[0, 0] = np.inf
+        plane[15, 15] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            validate_plane(plane)
+
     def test_accepts_uint8_input(self):
         src = np.arange(256, dtype=np.uint8).reshape(16, 16)
         out = validate_plane(src)
