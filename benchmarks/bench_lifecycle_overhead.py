@@ -2,9 +2,11 @@
 
 Runs the same frame sequence two ways:
 
-* **baseline** — the bare throughput path: :class:`~repro.core.batch.BatchEngine`
-  over frames loaded from disk, outputs written per frame (what
-  ``--batch`` does without ``--job-dir``);
+* **baseline** — the bare throughput path, as ``--batch`` runs it without
+  ``--job-dir``: :class:`~repro.core.batch.BatchEngine` over frames
+  loaded from disk, with ``uint8`` outputs that the CLI's
+  :class:`~repro.__main__.BatchWriter` hooks write as the engine hands
+  each one back;
 * **durable** — :class:`~repro.lifecycle.BatchJob` over the same frames:
   fsync'd write-ahead journal per frame, checkpoint manifest rotation,
   watchdog thread, health snapshots.
@@ -30,8 +32,11 @@ import shutil
 import statistics
 import tempfile
 
+import numpy as np
+
 import gate
 from repro import BatchEngine, OPTIMIZED
+from repro.__main__ import BatchWriter
 from repro.lifecycle import BatchJob, LifecycleConfig
 from repro.util import images
 from repro.util.io import read_pgm, write_pgm
@@ -60,17 +65,16 @@ def measure() -> dict:
         inputs = sorted(frames_dir.glob("*.pgm"))
         base_reps, durable_reps = itertools.count(), itertools.count()
 
-        # Baseline: bare engine + per-frame output writes, fresh out dir
-        # per run so filesystem state matches the durable side.
+        # Baseline: bare engine writing each output as it arrives, as
+        # --batch does; fresh out dir per run so filesystem state matches
+        # the durable side.
         def run_baseline() -> None:
             out_dir = work / f"base-out-{next(base_reps)}"
             out_dir.mkdir()
             engine = BatchEngine(OPTIMIZED, workers=WORKERS,
-                                 keep_outputs=True)
-            result = engine.run(
-                source=lambda: (read_pgm(p) for p in inputs))
-            for path, plane in zip(inputs, result.outputs):
-                write_pgm(out_dir / path.name, plane)
+                                 out_dtype=np.uint8,
+                                 hooks=BatchWriter(inputs, out_dir))
+            engine.run(source=lambda: (read_pgm(p) for p in inputs))
 
         # Durable: full lifecycle — fsync'd journal, manifest rotations,
         # watchdog ticking, health snapshots.  Fresh job dir per run (a

@@ -25,8 +25,9 @@ Batch mode streams many frames through the throughput engine::
 The input is a glob (or a directory) of same-named PGM frames and the
 output is a directory; frames run through
 :class:`~repro.core.batch.BatchEngine` (shared plan cache + buffer pool,
-bounded worker threads, ordered results) and a throughput summary is
-printed to stderr.
+bounded worker threads, ordered results), each output is written as an
+8-bit plane as soon as the engine hands it back, in input order, and a
+throughput summary is printed to stderr.
 
 Resilience (see ``docs/resilience.md``): ``--resilient`` runs frames under
 retry + circuit-breaker + GPU->CPU fallback policies; ``--inject-faults
@@ -64,11 +65,12 @@ import numpy as np
 
 from .algo.color import sharpen_rgb
 from .core import BASE, OPTIMIZED, GPUPipeline
+from .core.batch import NoHooks
 from .cpu import CPUPipeline
 from .errors import ReproError, UsageError, ValidationError
 from .obs import LEVELS, RunContext
 from .resilience import FallbackPipeline, FaultPlan, ResilienceConfig
-from .types import Image, SharpnessParams
+from .types import FLOAT, PIXEL, Image, SharpnessParams
 from .util import images as synth
 from .util.io import read_pgm, read_ppm, write_pgm, write_ppm
 
@@ -139,8 +141,8 @@ def _make_luma_runner(pipeline: str, params: SharpnessParams,
         if resilient:
             pipe = FallbackPipeline(pipe, ResilienceConfig(), obs=obs)
 
-    def run(plane: np.ndarray) -> np.ndarray:
-        res = pipe.run(Image.from_array(plane))
+    def run(plane: np.ndarray, out_dtype=FLOAT) -> np.ndarray:
+        res = pipe.run(Image.from_array(plane), out_dtype=out_dtype)
         if res.backend == "cpu-fallback":
             print(f"[resilience] frame served by {res.backend}",
                   file=sys.stderr)
@@ -175,6 +177,21 @@ def _batch_inputs(pattern: str) -> list[pathlib.Path]:
     return frames
 
 
+class BatchWriter(NoHooks):
+    """The engine hooks of ``--batch``: write each frame, a ``uint8``
+    plane, to ``out_dir`` under its input's name as the engine absorbs
+    it, in input order, so the run holds at most ``queue_depth`` frames.
+    """
+
+    def __init__(self, frames: list[pathlib.Path],
+                 out_dir: pathlib.Path) -> None:
+        self.paths = [out_dir / p.name for p in frames]
+
+    def on_frame(self, *, index: int, output, **_) -> None:
+        if output is not None:
+            write_pgm(self.paths[index], output)
+
+
 def cmd_batch(args, params, obs) -> int:
     """Sharpen a frame sequence through the throughput engine."""
     from .core import BatchEngine
@@ -188,14 +205,11 @@ def cmd_batch(args, params, obs) -> int:
     flags = BASE if args.pipeline == "gpu-base" else OPTIMIZED
     resilience = ResilienceConfig() if args.resilient else None
     engine = BatchEngine(flags, params, workers=args.workers,
-                         keep_outputs=True, obs=obs,
-                         resilience=resilience)
+                         out_dtype=PIXEL, obs=obs, resilience=resilience,
+                         hooks=BatchWriter(frames, out_dir))
     with obs.span("cli.batch", frames=len(frames), workers=args.workers):
         result = engine.run(
             source=lambda: (_read_image(read_pgm, p) for p in frames))
-        for src_path, plane in zip(frames, result.outputs):
-            if plane is not None:
-                write_pgm(out_dir / src_path.name, plane)
     stats = result.plan_stats
     backends = ", ".join(f"{k}={v}"
                          for k, v in sorted(result.backends().items()))
@@ -300,7 +314,7 @@ def cmd_sharpen(args) -> int:
             write_ppm(args.output, out)
         elif suffix == ".pgm":
             plane = _read_image(read_pgm, src)
-            write_pgm(args.output, runner(plane))
+            write_pgm(args.output, runner(plane, PIXEL))
         else:
             raise ReproError(
                 f"unsupported input format {suffix!r}; use .pgm or .ppm"

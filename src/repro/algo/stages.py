@@ -603,12 +603,17 @@ def minmax3x3(src: np.ndarray, r0: int = 1, r1: int | None = None, *,
 def clip_border(top: np.ndarray, bottom: np.ndarray, left: np.ndarray,
                 right: np.ndarray, final: np.ndarray) -> None:
     """Clip the four lines of a plane's one-pixel border ring to [0, 255]
-    into that ring of ``final``: overshoot control leaves the border
+    into that ring of ``final``, rounded as :func:`overshoot_rows` rounds
+    a ``uint8`` ``final``: overshoot control leaves the border
     unblended."""
     h, w = final.shape
+    u8 = final.dtype == np.uint8
     for line, src in ((np.s_[0], top), (np.s_[h - 1], bottom),
                       (np.s_[:, 0], left), (np.s_[:, w - 1], right)):
-        np.clip(src, 0.0, 255.0, out=final[line])
+        if u8:
+            final[line] = np.rint(np.clip(src, 0.0, 255.0))
+        else:
+            np.clip(src, 0.0, 255.0, out=final[line])
 
 
 def overshoot_rows(prelim: np.ndarray, mn: np.ndarray, mx: np.ndarray,
@@ -616,25 +621,30 @@ def overshoot_rows(prelim: np.ndarray, mn: np.ndarray, mx: np.ndarray,
                    over: np.ndarray | None = None,
                    under: np.ndarray | None = None) -> None:
     """Overshoot control of interior rows ``[r0, r0 + n)`` into
-    ``final[r0:r0+n, 1:W-1]`` of the C-contiguous ``(H, W)`` plane.
+    ``final[r0:r0+n, 1:W-1]`` of the ``(H, W)`` plane ``final``, a float64
+    or ``uint8`` one.
 
     ``prelim``, ``mn`` and ``mx`` are the rows' ``(n, W - 2)`` preliminary
-    values and 3x3 extrema (:func:`minmax3x3`); ``over``/``under`` are
-    boolean scratch.  Pixels are clipped to [0, 255], then the
-    overshooting ones (typically 10-20%) are blended back through flat
-    indices, which touch only them (a boolean mask walks every pixel).
-    The blend runs in place in its gathered values, so its temporaries
-    are three arrays per overshooting pixel.
+    values and 3x3 extrema (:func:`minmax3x3`); ``prelim`` must be
+    C-contiguous and is used up as scratch.  ``over``/``under`` are
+    boolean scratch.  The overshooting pixels (typically 10-20%) are
+    found in the unclipped ``prelim`` and gathered through flat indices,
+    which touch only them (a boolean mask walks every pixel); their blend
+    runs in place in the gathered values, so its temporaries are three
+    arrays per overshooting pixel.  ``prelim`` is then clipped to
+    [0, 255] in place, the blended values are scattered back, a ``uint8``
+    ``final``'s rows are rounded half to even in place (the rule of
+    :func:`~repro.util.io.quantize_u8`; every value is already in
+    [0, 255]), and the rows are stored into ``final`` at once.
     """
     n, wi = prelim.shape
     w = final.shape[1]
-    if not final.flags.c_contiguous:
-        raise ValidationError("final must be C-contiguous")
-    np.clip(prelim, 0.0, 255.0, out=final[r0:r0 + n, 1:w - 1])
+    if not prelim.flags.c_contiguous:
+        raise ValidationError("prelim must be C-contiguous")
     osc = FLOAT(overshoot)
     hi = np.greater(prelim, mx, out=_scratch(over, (n, wi), bool))
     lo = np.less(prelim, mn, out=_scratch(under, (n, wi), bool))
-    final_flat = final.reshape(-1)
+    blended = []
     for is_over, mask, bound in ((True, hi, mx), (False, lo, mn)):
         idx = np.flatnonzero(mask)
         if idx.size == 0:
@@ -650,12 +660,15 @@ def overshoot_rows(prelim: np.ndarray, mn: np.ndarray, mx: np.ndarray,
             np.multiply(vals, osc, out=vals)
             np.subtract(lv, vals, out=vals)
             np.maximum(vals, 0.0, out=vals)
-        # row-range index (r, c) -> final index (r0 + r, c + 1)
-        row = idx // wi
-        row *= 2
-        idx += row
-        idx += r0 * w + 1
-        final_flat[idx] = vals
+        del lv  # before the next mask's gathers
+        blended.append((idx, vals))
+    np.clip(prelim, 0.0, 255.0, out=prelim)
+    flat = prelim.reshape(-1)
+    for idx, vals in blended:
+        flat[idx] = vals
+    if final.dtype == np.uint8:
+        np.rint(prelim, out=prelim)
+    final[r0:r0 + n, 1:w - 1] = prelim
 
 
 def overshoot_control(

@@ -31,8 +31,9 @@ strip at a time.  The phases:
    (:func:`~repro.algo.stages.upscale_border_ring`), pError, the strength
    (an 8-bit frame's is gathered from a table over the pEdge values
    0..2040), the preliminary image in place over pError, 3x3 min/max and
-   the overshoot blend into the output; then the output's border lines
-   from the ring.
+   the overshoot blend into the output, rounded there when the output is
+   ``uint8`` (a file sink's); then the output's border lines from the
+   ring.
 
 Each busy lane's scratch is one arena (:class:`StripScratch`) with typed
 views per strip shape and frame dtype (:func:`_layout`); arrays that are
@@ -74,7 +75,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..errors import ConfigError
-from ..types import FLOAT, SharpnessParams
+from ..types import FLOAT, SharpnessParams, check_out_dtype
 from . import stages as algo
 
 #: Byte budget of one strip lane's arena for an 8-bit frame.  Swept from
@@ -440,9 +441,15 @@ PHASES = ("strips.downscale", "strips.pass1", "strips.reduce",
 
 def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
         levels: tuple[tuple[int, int], ...],
-        trace) -> tuple[np.ndarray, float]:
+        trace, *, out_dtype=FLOAT) -> tuple[np.ndarray, float]:
     """Sharpen ``plane`` through the scratch of ``ws`` (a frame-clean
     :class:`Workspace` of the same shape); return ``(final, edge_mean)``.
+
+    ``final`` is a new plane of ``out_dtype``
+    (:func:`~repro.types.check_out_dtype`): float64, or ``uint8`` for a
+    file sink.  Pass 2 clips, rounds and stores each strip of a ``uint8``
+    output while the strip is still in its lane's arena, so it holds the
+    bytes of :func:`~repro.util.io.quantize_u8` of the float64 ``final``.
 
     ``plane`` is read as given: a ``uint8`` frame runs the stages that
     read only the original in exact integers (see
@@ -460,6 +467,7 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
     """
     h, w = plane.shape
     u8 = plane.dtype == np.uint8
+    out_dtype = check_out_dtype(out_dtype)
     # Strip j covers interior rows [1 + j*S, 1 + (j+1)*S) ∩ [1, h-1).
     step = ws.strip
     n_strips = -(-(h - 2) // step)
@@ -493,7 +501,7 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
             edge_mean = algo.reduce_mean(edge, levels)
             marks.append(now())
             ring = algo.upscale_border_ring(ws.down)
-            final = np.empty((h, w), dtype=FLOAT)
+            final = np.empty((h, w), dtype=out_dtype)
             lut = algo.strength_table(edge_mean, params) if u8 else None
             tail = _Tail(edge, edge_mean, lut, ring, params, final)
             lanes.run(n_strips, lambda j, s: _sharpen_strip(

@@ -51,7 +51,8 @@ from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..resilience.policy import execute
 from ..simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
 from ..simgpu.profiling import Timeline
-from ..types import FrameResult, Image, SharpnessParams
+from ..types import (FLOAT, FrameResult, Image, SharpnessParams,
+                     check_out_dtype)
 from .bufferpool import BufferPool
 from .config import OPTIMIZED, OptimizationFlags
 from .pipeline import GPUPipeline
@@ -213,9 +214,10 @@ class BatchResult:
         return self.n_frames / total
 
 
-class _NoHooks:
+class NoHooks:
     """The lifecycle hooks of an engine given none: admit every frame,
-    never declare one hung, never abandon the in-flight ones."""
+    never declare one hung, never abandon the in-flight ones.  A sink
+    that only needs some hooks subclasses it."""
 
     def admit(self) -> bool:
         return True
@@ -256,6 +258,10 @@ class BatchEngine:
         also caps result-side memory when ``keep_outputs`` is off.
     keep_outputs:
         Retain every sharpened frame on the result, in input order.
+    out_dtype:
+        The dtype of every output plane: float64 (the default), or
+        ``uint8`` for a file sink, which pass 2 of the strip executor
+        then rounds strip by strip (see :func:`repro.algo.strips.run`).
     obs:
         Optional :class:`~repro.obs.RunContext` shared by all workers.
     resilience:
@@ -296,6 +302,7 @@ class BatchEngine:
                  device: DeviceSpec = W8000, cpu: CPUSpec = I5_3470,
                  workers: int = 4, queue_depth: int | None = None,
                  keep_outputs: bool = False,
+                 out_dtype=FLOAT,
                  obs: RunContext | None = None,
                  resilience=None,
                  hooks=None) -> None:
@@ -311,8 +318,9 @@ class BatchEngine:
                 f"{workers}-worker pool"
             )
         self.keep_outputs = keep_outputs
+        self.out_dtype = check_out_dtype(out_dtype)
         self.obs = obs or NULL_CONTEXT
-        self.hooks = hooks or _NoHooks()
+        self.hooks = hooks or NoHooks()
         if resilience is not None:
             from ..resilience.fallback import ResilienceConfig
 
@@ -366,7 +374,7 @@ class BatchEngine:
             attempts += 1
             if obs.faults is not None:
                 obs.faults.check("worker", obs, detail=f"frame:{index}")
-            return self.pipeline.run(frame)
+            return self.pipeline.run(frame, out_dtype=self.out_dtype)
 
         try:
             if obs.faults is not None:

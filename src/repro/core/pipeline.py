@@ -42,7 +42,9 @@ from ..kernels.reduction import reduction_layout
 from ..kernels.upscale_border import BORDER_GLOBAL, BORDER_LOCAL
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
-from ..types import FrameResult, Image, SharpnessParams
+from ..types import (FLOAT, PIXEL, FrameResult, Image, SharpnessParams,
+                     check_out_dtype)
+from ..util.io import quantize_u8
 from . import heuristics
 from .bufferpool import BufferPool
 from .config import OPTIMIZED, OptimizationFlags
@@ -159,15 +161,24 @@ class GPUPipeline:
 
     # -- main entry -----------------------------------------------------------
 
-    def run(self, image: Image | np.ndarray) -> FrameResult:
+    def run(self, image: Image | np.ndarray, *,
+            out_dtype=FLOAT) -> FrameResult:
+        """Sharpen one frame.  ``out_dtype`` is its ``final``'s: float64,
+        or ``uint8`` for a file sink, rounded as
+        :func:`~repro.util.io.quantize_u8` rounds (a replayed frame's
+        strips are rounded in pass 2; an uncached, emulated or dry-run
+        frame's float64 ``final`` at the end)."""
         if not isinstance(image, Image):
             image = Image.from_array(np.asarray(image))
+        out_dtype = check_out_dtype(out_dtype)
         obs = self.obs
         cached = self._plan_eligible()
         with obs.trace.span("gpu.run", pipeline=self.label,
                             h=image.height, w=image.width, mode=self.mode):
             if not cached:
                 plan, final, edge_mean = self._run_instrumented(image, obs)
+                if out_dtype == PIXEL:
+                    final = quantize_u8(final)
             else:
                 def capture():
                     self._count_lookup(obs, "miss")
@@ -195,7 +206,8 @@ class GPUPipeline:
                         obs.faults.check("kernel", obs, detail="plan-replay")
                 with self.buffer_pool.lease(image.height, image.width) as ws:
                     final, edge_mean = plan.execute(
-                        image.pixels, self.params, ws, trace=obs.trace)
+                        image.pixels, self.params, ws, trace=obs.trace,
+                        out_dtype=out_dtype)
             # Simulated costs never depend on pixel values, so every frame's
             # timeline, stage times and placements come from its plan.
             record_commands(obs, plan.timeline, plan.transfer_bytes,

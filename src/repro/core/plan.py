@@ -53,7 +53,7 @@ from ..kernels.reduction import reduction_layout
 from ..obs.runctx import NULL_CONTEXT
 from ..simgpu.device import CPUSpec, DeviceSpec
 from ..simgpu.profiling import Timeline
-from ..types import SharpnessParams, StageTimes
+from ..types import FLOAT, SharpnessParams, StageTimes
 from . import heuristics
 from .config import OptimizationFlags
 from .metrics import stage_times_from_timeline
@@ -131,17 +131,20 @@ class ExecutionPlan:
     # -- specialized frame executor -------------------------------------------
 
     def execute(self, plane: np.ndarray, params: SharpnessParams,
-                ws: Workspace, *, trace=NULL_CONTEXT.trace
-                ) -> tuple[np.ndarray, float]:
+                ws: Workspace, *, trace=NULL_CONTEXT.trace,
+                out_dtype=FLOAT) -> tuple[np.ndarray, float]:
         """Sharpen one frame through the strip executor
         (:func:`repro.algo.strips.run`) with this plan's reduction levels.
 
         ``ws`` is a frame-clean :class:`~repro.algo.strips.Workspace` of
-        matching shape; ``trace`` receives the executor's phase spans.
-        Every pixel comes from a :mod:`repro.algo.stages` function, so the
-        result is bit-identical to the generic kernel path.
+        matching shape; ``trace`` receives the executor's phase spans;
+        ``out_dtype`` is the output plane's (float64, or ``uint8`` for a
+        file sink).  Every pixel comes from a :mod:`repro.algo.stages`
+        function, so the result is bit-identical to the generic kernel
+        path.
         """
-        return strips.run(plane, params, ws, self.reduction_levels, trace)
+        return strips.run(plane, params, ws, self.reduction_levels, trace,
+                          out_dtype=out_dtype)
 
 
 class PlanCache:

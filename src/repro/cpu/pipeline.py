@@ -16,7 +16,7 @@ from ..algo import strips
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..simgpu.device import CPUSpec, I5_3470
 from ..simgpu.profiling import Timeline
-from ..types import FrameResult, Image, SharpnessParams
+from ..types import FLOAT, FrameResult, Image, SharpnessParams
 from . import cost
 
 
@@ -49,7 +49,11 @@ class CPUPipeline:
         self.obs = obs or NULL_CONTEXT
         self.label = label
 
-    def run(self, image: Image | np.ndarray) -> FrameResult:
+    def run(self, image: Image | np.ndarray, *,
+            out_dtype=FLOAT) -> FrameResult:
+        """Sharpen one frame; ``out_dtype`` is its ``final``'s (float64,
+        or ``uint8`` for a file sink: see :func:`repro.algo.strips.run`).
+        """
         if not isinstance(image, Image):
             image = Image.from_array(np.asarray(image))
         src = image.pixels
@@ -59,7 +63,8 @@ class CPUPipeline:
 
         with obs.trace.span("cpu.run", pipeline=self.label, h=h, w=w):
             final, edge_mean = strips.run(
-                src, self.params, strips.Workspace(h, w), (), obs.trace)
+                src, self.params, strips.Workspace(h, w), (), obs.trace,
+                out_dtype=out_dtype)
 
         timeline = Timeline()
         for stage, seconds in times.times.items():

@@ -37,7 +37,7 @@ from ..core.config import OPTIMIZED, OptimizationFlags
 from ..errors import UsageError, ValidationError
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..resilience.fallback import ResilienceConfig
-from ..types import SharpnessParams
+from ..types import PIXEL, SharpnessParams
 from ..util.io import read_pgm, write_pgm
 from .health import HEALTH_NAME, HealthReporter
 from .journal import (
@@ -153,7 +153,11 @@ class BatchJob:
         The :class:`LifecycleConfig` knob bundle.
     loader / writer:
         ``loader(input) -> array`` and ``writer(path, array)``; default
-        PGM I/O.
+        PGM I/O.  The writer receives each frame as a ``uint8`` plane: the
+        engine runs with ``out_dtype=uint8``, so pass 2 of the strip
+        executor rounds each strip as it stores it
+        (:func:`~repro.util.io.quantize_u8`'s bytes) and no float64 frame
+        is built.
     """
 
     def __init__(self, *, inputs: Iterable, output_dir: str | pathlib.Path,
@@ -304,7 +308,8 @@ class BatchJob:
         engine = BatchEngine(
             self.flags, self.params, workers=self.workers,
             queue_depth=self.queue_depth, keep_outputs=False,
-            obs=obs, resilience=self.resilience, hooks=EngineHooks(self),
+            out_dtype=PIXEL, obs=obs, resilience=self.resilience,
+            hooks=EngineHooks(self),
         )
         self.watchdog = Watchdog(
             self.watch, hang_timeout=cfg.hang_timeout,

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from ..cpu.pipeline import CPUPipeline
 from ..errors import CircuitOpenError, ReproError
 from ..obs.runctx import NULL_CONTEXT
+from ..types import FLOAT
 from .breaker import CircuitBreaker
 from .policy import RetryBudget, RetryPolicy, Timeout, execute
 
@@ -114,14 +115,15 @@ class FallbackPipeline:
 
     # -- main entry -----------------------------------------------------------
 
-    def run(self, image):
-        """Sharpen one frame resiliently into a ``FrameResult``."""
+    def run(self, image, *, out_dtype=FLOAT):
+        """Sharpen one frame resiliently into a ``FrameResult`` whose
+        ``final`` is ``out_dtype``, whichever backend serves it."""
         obs = self.obs
         if not self.breaker.allow():
-            return self._degrade(image, reason="breaker-open")
+            return self._degrade(image, out_dtype, reason="breaker-open")
         try:
             result, attempts = execute(
-                lambda: self.gpu.run(image),
+                lambda: self.gpu.run(image, out_dtype=out_dtype),
                 self.config.retry,
                 timeout=self.timeout,
                 budget=self.budget,
@@ -132,8 +134,8 @@ class FallbackPipeline:
             )
         except ReproError as exc:
             self.breaker.record_failure()
-            return self._degrade(image, reason=type(exc).__name__,
-                                 cause=exc)
+            return self._degrade(image, out_dtype,
+                                 reason=type(exc).__name__, cause=exc)
         except Exception:  # repro: ignore[PL-BROAD-EXCEPT]
             # Unknown failure: count it against the breaker (and release a
             # half-open probe slot) but never mask it with the fallback.
@@ -144,7 +146,7 @@ class FallbackPipeline:
 
     # -- degradation ----------------------------------------------------------
 
-    def _degrade(self, image, *, reason: str,
+    def _degrade(self, image, out_dtype, *, reason: str,
                  cause: Exception | None = None):
         if not self.config.fallback:
             if cause is not None:
@@ -164,6 +166,6 @@ class FallbackPipeline:
             )
         with obs.trace.span("fallback.run", pipeline=self.label,
                             reason=reason):
-            result = self.cpu.run(image)
+            result = self.cpu.run(image, out_dtype=out_dtype)
         result.backend = BACKEND_CPU_FALLBACK
         return result

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
+from .util.io import quantize_u8
 
 if TYPE_CHECKING:
     from .core.config import OptimizationFlags
@@ -36,6 +37,19 @@ FLOAT = np.float64
 
 #: dtype of input/output pixel planes.
 PIXEL = np.uint8
+
+
+def check_out_dtype(dtype) -> np.dtype:
+    """``dtype`` as the dtype of a pipeline's output plane: ``FLOAT``,
+    which array callers compare bit for bit, or ``PIXEL``, the 8-bit
+    samples a file sink writes (rounded as
+    :func:`~repro.util.io.quantize_u8` rounds)."""
+    dt = np.dtype(dtype)
+    if dt != FLOAT and dt != PIXEL:
+        raise ValidationError(
+            f"output dtype must be float64 or uint8, got {dt}")
+    return dt
+
 
 #: Downscale factor fixed by the algorithm (4x4 block mean).
 SCALE = 4
@@ -227,6 +241,9 @@ class StageTimes:
 class FrameResult:
     """One sharpened frame, whichever backend produced it.
 
+    ``final`` is float64, or ``uint8`` when the caller asked the pipeline
+    for ``out_dtype=np.uint8`` (a file sink).
+
     ``times`` is the Fig.-13-style stage breakdown in the backend's own
     vocabulary (GPU stages, or the CPU cost model's); ``timeline`` is the
     frame's simulated event timeline, a host-only chain of cost-model
@@ -252,4 +269,6 @@ class FrameResult:
         return self.timeline.total
 
     def final_u8(self) -> np.ndarray:
-        return np.clip(np.rint(self.final), 0, 255).astype(PIXEL)
+        """The frame as 8-bit pixels (:func:`~repro.util.io.quantize_u8`):
+        a ``uint8`` :attr:`final` is returned as is."""
+        return quantize_u8(self.final)

@@ -48,12 +48,16 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
 
 
 def atomic_write_bytes(path: str | pathlib.Path,
-                       data: bytes) -> pathlib.Path:
-    """Binary sibling of :func:`atomic_write_text`: temp file + rename."""
+                       *chunks: bytes | memoryview) -> pathlib.Path:
+    """Binary sibling of :func:`atomic_write_text`: temp file + rename.
+    ``chunks`` are written one after another, so a header and a raster
+    need not be joined into one ``bytes`` first."""
     path = pathlib.Path(path)
     tmp = _temp_sibling(path)
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:  # repro: ignore[PL-BROAD-EXCEPT] tmp cleanup, re-raised
         tmp.unlink(missing_ok=True)
@@ -120,12 +124,19 @@ def read_pgm(path) -> np.ndarray:
     return out
 
 
-def _quantize_u8(arr: np.ndarray) -> np.ndarray:
-    """Round and clamp samples to ``uint8`` through one float temporary.
+def quantize_u8(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as 8-bit samples: the one rounding rule of every 8-bit
+    output.  Samples are clamped to [0, 255] and rounded half to even
+    through one float temporary; a ``uint8`` array is returned as is.
 
     Clamping to the integer bounds 0 and 255 commutes with round-half-even,
-    so this gives the bytes of ``np.clip(np.rint(arr), 0, 255)``.
+    so this gives the bytes of ``np.clip(np.rint(arr), 0, 255)``.  The
+    strip executor's ``uint8`` output is rounded the same way, strip by
+    strip (:func:`repro.algo.stages.overshoot_rows`).
     """
+    arr = np.asarray(arr)
+    if arr.dtype == np.uint8:
+        return arr
     t = np.clip(arr, 0, 255)
     if t.dtype.kind == "f":
         np.rint(t, out=t)
@@ -133,14 +144,15 @@ def _quantize_u8(arr: np.ndarray) -> np.ndarray:
 
 
 def write_pgm(path, plane: np.ndarray) -> None:
-    """Write a float/uint8 plane as binary PGM (P5)."""
+    """Write a plane as binary PGM (P5), through :func:`quantize_u8`: a
+    ``uint8`` plane is written as it is."""
     arr = np.asarray(plane)
     if arr.ndim != 2:
         raise ValidationError(f"PGM needs a 2-D plane, got ndim={arr.ndim}")
-    u8 = _quantize_u8(arr)
+    u8 = np.ascontiguousarray(quantize_u8(arr))
     h, w = u8.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + u8.tobytes())
+    atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii"),
+                       u8.data)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -178,7 +190,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         raise ValidationError(
             f"PPM needs an (H, W, 3) array, got shape {arr.shape}"
         )
-    u8 = _quantize_u8(arr)
+    u8 = np.ascontiguousarray(quantize_u8(arr))
     h, w, _ = u8.shape
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + u8.tobytes())
+    atomic_write_bytes(path, f"P6\n{w} {h}\n255\n".encode("ascii"),
+                       u8.data)

@@ -208,7 +208,8 @@ class TestMinMax3x3U8:
         for src in (frame, frame.astype(np.float64)):
             final = np.zeros((h, w))
             mn, mx = algo.minmax3x3(src)
-            algo.overshoot_rows(prelim, mn, mx, params.overshoot, final, 1)
+            algo.overshoot_rows(prelim.copy(), mn, mx, params.overshoot,
+                                final, 1)
             outs.append(final)
         assert_bytes_equal(*outs, context=name)
 

@@ -201,9 +201,9 @@ class TestOneRetryOwner:
         calls = []
         real_run = GPUPipeline.run
 
-        def counting_run(pipe, image):
+        def counting_run(pipe, image, **kw):
             calls.append(1)
-            return real_run(pipe, image)
+            return real_run(pipe, image, **kw)
 
         monkeypatch.setattr(GPUPipeline, "run", counting_run)
         obs = quiet_obs(faults=FaultPlan.parse(f"{spec};seed=0"))

@@ -281,9 +281,8 @@ class TestStripAllocations:
     of its pixels, and less than :data:`_WARM_ALLOC_BOUND` of
     temporaries."""
 
-    @pytest.mark.parametrize("kind", ["u8", "float"])
-    @pytest.mark.parametrize("side", [512, 1024])
-    def test_warm_strips_run(self, monkeypatch, side, kind):
+    @staticmethod
+    def _warm_strips_run(monkeypatch, side, kind, out_dtype):
         monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(2))
         frame = Image.from_array(_frame((side, side), kind, seed=4)).pixels
         ws = strips.Workspace(side, side)
@@ -291,11 +290,24 @@ class TestStripAllocations:
 
         def run():
             ws.reset()
-            return strips.run(frame, params, ws, (), NULL_CONTEXT.trace)
+            return strips.run(frame, params, ws, (), NULL_CONTEXT.trace,
+                              out_dtype=out_dtype)
 
         run()  # warm: both lanes' scratch and the helper thread
         (final, _), peak = _traced_peak(run)
+        assert final.dtype == out_dtype
         assert peak - final.nbytes < _WARM_ALLOC_BOUND
+
+    @pytest.mark.parametrize("kind", ["u8", "float"])
+    @pytest.mark.parametrize("side", [512, 1024])
+    def test_warm_strips_run(self, monkeypatch, side, kind):
+        self._warm_strips_run(monkeypatch, side, kind, np.float64)
+
+    @pytest.mark.parametrize("kind", ["u8", "float"])
+    @pytest.mark.parametrize("side", [512, 1024])
+    def test_warm_strips_run_to_u8(self, monkeypatch, side, kind):
+        # A file sink's output: pass 2 rounds each strip in its arena.
+        self._warm_strips_run(monkeypatch, side, kind, np.uint8)
 
     @pytest.mark.parametrize("kind", ["u8", "float"])
     @pytest.mark.parametrize("side", [512, 1024])

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import OPTIMIZED, GPUPipeline
 from repro.errors import ConfigError, UsageError, ValidationError
 from repro.lifecycle import (
     BatchJob,
@@ -157,6 +158,47 @@ class TestFileInputBitIdentity:
         assert len(u8_out) == len(inputs)
         assert u8_out == f64_out
         assert u8_means == f64_means
+
+    def test_u8_sink_writes_the_bytes_of_the_float64_final(self, tmp_path):
+        # The job's writer gets uint8 planes that pass 2 rounded; a fresh
+        # and a resumed job must write the bytes write_pgm makes of the
+        # float64 final of the same frame.
+        src = tmp_path / "frames"
+        src.mkdir()
+        for i, (h, w) in enumerate([(32, 48), (64, 64), (48, 96)] * 2):
+            write_pgm(src / f"f{i:02d}-{h}x{w}.pgm",
+                      synth.natural_like(h, w, seed=i))
+        inputs = sorted(src.glob("*.pgm"))
+        expected = {}
+        for path in inputs:
+            final = GPUPipeline(OPTIMIZED).run(read_pgm(path)).final
+            assert final.dtype == np.float64
+            write_pgm(tmp_path / "ref.pgm", final)
+            expected[path.name] = (tmp_path / "ref.pgm").read_bytes()
+        planes = []
+
+        def writer(path, plane):
+            planes.append(plane.dtype)
+            write_pgm(path, plane)
+
+        def job(**kw):
+            return BatchJob(inputs=inputs, output_dir=tmp_path / "out",
+                            job_dir=tmp_path / "job", workers=2,
+                            obs=RunContext.disabled(), lifecycle=FAST,
+                            writer=writer, **kw)
+
+        assert job().run().exit_code == EXIT_OK
+        assert read_outputs(tmp_path / "out") == expected
+        assert planes == [np.uint8] * len(inputs)
+        for name in list(expected)[::2]:
+            (tmp_path / "out" / name).unlink()
+        resumed = BatchJob.resume(tmp_path / "job", lifecycle=FAST,
+                                  writer=writer)
+        outcome = resumed.run()
+        assert outcome.exit_code == EXIT_OK
+        assert outcome.executed == 3
+        assert read_outputs(tmp_path / "out") == expected
+        assert planes == [np.uint8] * (len(inputs) + 3)
 
 
 def slow_obs(spec="hang:rate=1.0,seconds=0.15;seed=1"):

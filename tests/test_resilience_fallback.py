@@ -132,7 +132,7 @@ class TestDegradation:
             cpu = None
             obs = None
 
-            def run(self, image):
+            def run(self, image, **_):
                 raise RuntimeError("not a repro error")
 
         pipe = FallbackPipeline(Broken(), fast_config(breaker_failures=1),
