@@ -20,9 +20,9 @@ sums, ``int16`` for the Sobel terms), and the exact integer result is
 cast to float64 where a float64 value is needed.  Every other dtype is
 computed in float64, where the same sums of small integers are exact
 too, so both branches produce the same bits.  The same holds one stage
-further on: an integer pEdge is summed exactly in ``int64``
-(:func:`reduce_sum`, :func:`group_sums`), and its strength is gathered
-from :func:`strength_table` (:func:`strength_lookup`).  Narrow scratch
+further on: the strip executor sums each strip of an integer pEdge
+exactly in ``int64`` (:func:`reduce_sum`), and gathers its strength from
+:func:`strength_table` (:func:`strength_lookup`).  Narrow scratch
 may be a view over the leading bytes of the caller's float64 scratch
 (:func:`_scratch`).
 """
@@ -414,21 +414,15 @@ def sobel(src: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _exact_ints(arr: np.ndarray) -> bool:
-    """Whether ``arr`` holds integers that :func:`reduce_sum` and
-    :func:`group_sums` add exactly in ``int64``."""
-    return arr.dtype.kind in "iu"
-
-
 def reduce_sum(values: np.ndarray) -> float:
     """Total of all elements (the quantity the GPU tree reduction computes).
 
-    An integer array (the ``int16`` pEdge of an 8-bit frame) is added in
-    ``int64``: every partial of the float64 sum of the same values is an
-    integer below 2**53, so both give the same bits.
+    An integer array (a strip of an 8-bit frame's ``int16`` pEdge) is
+    added in ``int64``: every partial of the float64 sum of the same
+    values is an integer below 2**53, so both give the same bits.
     """
     arr = np.asarray(values)
-    if _exact_ints(arr):
+    if arr.dtype.kind in "iu":
         return float(arr.sum(dtype=np.int64))
     return float(arr.astype(FLOAT, copy=False).sum())
 
@@ -441,36 +435,29 @@ def group_sums(flat: np.ndarray, count: int, n_groups: int,
 
     A contiguous row of a reshape and the equivalent 1-D slice run the
     same pairwise summation, so every partial has the bits of that
-    slice's ``.sum()``.  Integer values are added exactly in ``int64``
-    (see :func:`reduce_sum`).
+    slice's ``.sum()``.
     """
-    acc = np.int64 if _exact_ints(flat) else None
     full = count // span
     if full == n_groups:
-        sums = flat[:count].reshape(n_groups, span).sum(axis=1, dtype=acc)
+        sums = flat[:count].reshape(n_groups, span).sum(axis=1)
         return sums.astype(FLOAT, copy=False)
     partials = np.empty(n_groups, dtype=FLOAT)
     if full:
-        partials[:full] = flat[:full * span].reshape(full, span).sum(
-            axis=1, dtype=acc)
-    partials[full] = flat[full * span:count].sum(dtype=acc)
+        partials[:full] = flat[:full * span].reshape(full, span).sum(axis=1)
+    partials[full] = flat[full * span:count].sum()
     return partials
 
 
 def reduce_mean(values: np.ndarray,
                 levels: tuple[tuple[int, int], ...] = ()) -> float:
-    """Arithmetic mean of all elements of ``values``.
+    """Arithmetic mean of all elements of ``values``, read as float64.
 
     ``levels`` is the device reduction's level chain, ``(count,
     n_groups)`` per launch: the flat values are folded through
     :func:`group_sums` (span :data:`GROUP_SPAN`) level by level before
     the final host sum, which reproduces the kernel's summation order.
-    An integer ``values`` is read as is and summed exactly (see
-    :func:`reduce_sum`).
     """
-    arr = np.asarray(values)
-    if not _exact_ints(arr):
-        arr = arr.astype(FLOAT, copy=False)
+    arr = np.asarray(values, dtype=FLOAT)
     if arr.size == 0:
         raise ValidationError("cannot reduce an empty array")
     partials = arr

@@ -10,23 +10,24 @@ is computed by the same stage expression whatever the strip, so the
 result is bit-identical to :func:`~repro.algo.stages.sharpen` given the
 same chain.
 
-Only two planes span the frame: the downscaled plane (1/16 of it) and
+Only three planes span the frame: the downscaled plane (1/16 of it),
 pEdge, an ``int16`` plane for an 8-bit frame (its values are at most
-:data:`~repro.algo.stages.EDGE_MAX_U8`) and float64 otherwise.  The
-upscaled plane, pError, the strength and the preliminary image exist one
-strip at a time.  The phases:
+:data:`~repro.algo.stages.EDGE_MAX_U8`) and float64 otherwise, and the
+output.  The upscaled plane, pError, the strength and the preliminary
+image exist one strip at a time.  The phases:
 
-1. **downscale**, on the calling thread, per block of ``4 * (strip //
-   4)`` input rows into ``down``, with the block's column sums in the
-   calling lane's arena (on two cores a lane pass here saved under 1 ms
-   at 2048² and nothing at 512², and its extra hand-off to a helper
-   thread made instrumented frames slower than plain ones);
-2. **pass 1**, a pass of the strip lanes, per strip of the ``h - 2``
-   interior rows: Sobel rows into pEdge;
-3. the pEdge mean, :func:`~repro.algo.stages.reduce_mean` through the
-   caller's level chain (an ``int16`` plane is summed exactly in
-   ``int64``) — the pipeline's only global barrier, hence two passes;
-4. **pass 2**, a pass of the strip lanes, per strip: the strip's
+1. **pass 1**, a pass of the strip lanes, per strip of the ``h - 2``
+   interior rows: the 4-row blocks of ``down`` the strip owns, then its
+   Sobel rows into pEdge, and for an 8-bit frame the exact sum of those
+   rows (:func:`~repro.algo.stages.reduce_sum` in ``int64``), so pass 1
+   is the only pass that reads the original before the barrier (the
+   paper's "first add during load");
+2. the pEdge mean — the pipeline's only global barrier, hence two
+   passes: an 8-bit frame's is the sum of its strips' sums over ``h *
+   w``, exact, so any reduction order gives its bits; a float frame's
+   is :func:`~repro.algo.stages.reduce_mean` through the caller's level
+   chain, in the device's summation order;
+3. **pass 2**, a pass of the strip lanes, per strip: the strip's
    upscaled rows from ``down`` and the O(h + w) border ring
    (:func:`~repro.algo.stages.upscale_border_ring`), pError, the strength
    (an 8-bit frame's is gathered from a table over the pEdge values
@@ -34,6 +35,10 @@ strip at a time.  The phases:
    the overshoot blend into the output, rounded there when the output is
    ``uint8`` (a file sink's); then the output's border lines from the
    ring.
+
+The output plane is the workspace's (:meth:`Workspace.output`): a warm
+frame whose previous output the caller has dropped writes into that
+plane again, so it touches no fresh page.
 
 Each busy lane's scratch is one arena (:class:`StripScratch`) with typed
 views per strip shape and frame dtype (:func:`_layout`); arrays that are
@@ -47,19 +52,18 @@ Strips of one frame run on :data:`STRIP_LANES`, a process-wide pool of
 lanes that also owns the arenas, as a GPU's compute unit owns the local
 memory every workgroup dispatched to it reuses: a :class:`Workspace`
 keeps only the whole-frame planes.  Each pass checks one arena out of
-the lanes' free list per lane it runs on (the downscale, one for the
-calling lane), and returns them once every lane has stopped, so the
-process holds at most as many arenas, of about 4 MiB each, as lanes were
-ever dealt to passes at one time, whatever the shapes, pools and
-pipelines; an arena grows in place when a frame's strips need more
-bytes.  Lanes write disjoint rows, so pixels need no locking.  The lane
-rule keeps busy lanes at or below ``os.cpu_count()``: a pass asks for
-``cpu_count // frames`` lanes, ``frames`` being the frames currently
-inside :func:`run` process-wide, and a helper lane stops taking strips
-once the busy lanes (one per frame inside :func:`run` plus the running
-helpers) reach the CPU count.  A lone frame fans out over every core; a
-batch with one frame in flight per core runs each frame on its own
-thread.
+the lanes' free list per lane it runs on, and returns them once every
+lane has stopped, so the process holds at most as many arenas, of about
+4 MiB each, as lanes were ever dealt to passes at one time, whatever the
+shapes, pools and pipelines; an arena grows in place when a frame's
+strips need more bytes.  Lanes write disjoint rows, so pixels need no
+locking.  The lane rule keeps busy lanes at or below ``os.cpu_count()``:
+a pass asks for ``cpu_count // frames`` lanes, ``frames`` being the
+frames currently inside :func:`run` process-wide, and a helper lane
+stops taking strips once the busy lanes (one per frame inside
+:func:`run` plus the running helpers) reach the CPU count.  A lone frame
+fans out over every core; a batch with one frame in flight per core runs
+each frame on its own thread.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -106,9 +111,13 @@ def _layout(n: int, w: int, u8: bool) -> dict[str, tuple]:
     """Where each scratch array of an ``n``-row strip of a ``w``-wide
     frame lives in a lane's arena: ``name -> (byte offset, shape, dtype)``.
 
-    The phases run one after another, so each starts at byte 0.  Pass 2
-    uses float64 slots ``P``, ``Q``, ``R`` of one ``(n, w - 2)`` strip
-    each, reused as arrays die:
+    The passes run one after another, so each starts at byte 0.  In pass
+    1, the downscale's column sums ``colsum`` share byte 0 with the
+    Sobel's ``tcol``: a strip's downscale is done before its Sobel
+    writes ``tcol``.  ``colsum`` holds ``ceil(n / 4)`` 4-row blocks, the
+    most an ``n``-row strip owns (see :func:`run`).  Pass 2 uses float64
+    slots ``P``, ``Q``, ``R`` of one ``(n, w - 2)`` strip each, reused as
+    arrays die:
 
     * ``P``: an 8-bit frame's pEdge indices, until the strength is
       gathered; then the upscaled rows ``ui``, until the preliminary image
@@ -131,7 +140,7 @@ def _layout(n: int, w: int, u8: bool) -> dict[str, tuple]:
         spec[name] = (offset, shape, dtype)
         return offset + -(-_nbytes(shape, dtype) // 8) * 8
 
-    put("colsum", 0, (4 * max(1, n // 4), wd), np.uint16 if u8 else FLOAT)
+    put("colsum", 0, (4 * -(-n // 4), wd), np.uint16 if u8 else FLOAT)
     end = put("tcol", 0, (n, w), acc)
     end = put("urow", end, (n + 2, wi), acc)
     end = put("gx", end, (n, wi), acc)
@@ -199,10 +208,22 @@ class StripScratch:
         return v
 
 
+def _refs(planes: list[np.ndarray], i: int) -> int:
+    """What :func:`sys.getrefcount` reports for ``planes[i]``."""
+    return sys.getrefcount(planes[i])
+
+
+#: :func:`_refs` of a plane that only its list references.  Measured,
+#: not assumed: interpreters differ in the references they count for
+#: the same code (Python 3.14 borrows loads that 3.11 counts).
+_ONLY_LISTED = _refs([np.empty(0)], 0)
+
+
 class Workspace:
     """Preallocated per-shape planes for one in-flight frame: the
-    downscaled plane and the pEdge plane of each frame dtype.  The strip
-    scratch belongs to the lanes (:class:`StripLanes`)."""
+    downscaled plane, the pEdge plane of each frame dtype and the output
+    plane last handed out of each output dtype (:meth:`output`).  The
+    strip scratch belongs to the lanes (:class:`StripLanes`)."""
 
     def __init__(self, h: int, w: int) -> None:
         if h % 4 or w % 4 or h < 16 or w < 16:
@@ -217,8 +238,28 @@ class Workspace:
         self.edge_store = np.zeros(-(-h * w // 4), dtype=FLOAT)
         #: The float frames' pEdge plane, made by the first float frame.
         self.edge_float: np.ndarray | None = None
+        #: The output plane last handed out, one per output dtype.
+        self.outputs: list[np.ndarray] = []
         #: Rows per strip.
         self.strip = strip_rows(h, w)
+
+    def output(self, dtype) -> np.ndarray:
+        """An ``(h, w)`` output plane of ``dtype``, with undefined pixels:
+        the one of that dtype last handed out when nothing but this
+        workspace references it, else a new one, kept in its place.
+
+        Every view, ``memoryview``, container entry or result a caller
+        holds references the plane itself (NumPy collapses view bases to
+        the owner), so a plane still in use is never handed out twice.
+        """
+        kept = self.outputs
+        for i in range(len(kept)):
+            if kept[i].dtype == dtype:
+                if _refs(kept, i) != _ONLY_LISTED:
+                    kept[i] = np.empty((self.h, self.w), dtype=dtype)
+                return kept[i]
+        kept.append(np.empty((self.h, self.w), dtype=dtype))
+        return kept[-1]
 
     def edge_plane(self, u8: bool) -> np.ndarray:
         """The pEdge plane of an 8-bit (``u8``: ``int16``) or a float
@@ -238,9 +279,10 @@ class Workspace:
 
     @property
     def nbytes(self) -> int:
-        """Total footprint of the planes."""
+        """Total footprint of the planes, the kept outputs included."""
         return (self.down.nbytes + self.edge_store.nbytes
-                + (0 if self.edge_float is None else self.edge_float.nbytes))
+                + (0 if self.edge_float is None else self.edge_float.nbytes)
+                + sum(plane.nbytes for plane in self.outputs))
 
     def reset(self) -> None:
         """Make the workspace frame-clean.
@@ -248,7 +290,7 @@ class Workspace:
         The executor overwrites every cell it reads except the pEdge
         planes' border rings (Sobel leaves the border zero by
         construction), so only those rings need restoring; everything
-        else is recycled dirty.
+        else, the kept outputs included, is recycled dirty.
         """
         for edge in (self.edge, self.edge_float):
             if edge is not None:
@@ -402,11 +444,20 @@ class _Tail(NamedTuple):
     final: np.ndarray
 
 
-def _sobel_strip(plane: np.ndarray, edge: np.ndarray, r0: int, r1: int,
-                 v: SimpleNamespace) -> None:
-    """Pass 1 on interior rows ``[r0, r1)``: Sobel rows of pEdge."""
+def _first_strip(plane: np.ndarray, down: np.ndarray, edge: np.ndarray,
+                 r0: int, r1: int, b0: int, b1: int,
+                 v: SimpleNamespace) -> float | None:
+    """Pass 1 on interior rows ``[r0, r1)``: the 4-row blocks ``[b0, b1)``
+    of the downscaled plane, then the Sobel rows of pEdge.  Returns the
+    exact sum of an ``int16`` pEdge's rows, else ``None``."""
+    if b1 > b0:
+        algo.downscale(plane[4 * b0:4 * b1], out=down[b0:b1],
+                       colsum=v.colsum)
     algo.sobel_rows(plane, edge, r0, r1, tcol=v.tcol, urow=v.urow,
                     gx=v.gx, gy=v.gy)
+    if edge.dtype == np.int16:
+        return algo.reduce_sum(edge[r0:r1])
+    return None
 
 
 def _sharpen_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
@@ -435,8 +486,7 @@ def _sharpen_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
 
 
 #: The executor's phases, in order; each is a span of a traced frame.
-PHASES = ("strips.downscale", "strips.pass1", "strips.reduce",
-          "strips.pass2")
+PHASES = ("strips.pass1", "strips.reduce", "strips.pass2")
 
 
 def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
@@ -445,9 +495,11 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
     """Sharpen ``plane`` through the scratch of ``ws`` (a frame-clean
     :class:`Workspace` of the same shape); return ``(final, edge_mean)``.
 
-    ``final`` is a new plane of ``out_dtype``
-    (:func:`~repro.types.check_out_dtype`): float64, or ``uint8`` for a
-    file sink.  Pass 2 clips, rounds and stores each strip of a ``uint8``
+    ``final`` is ``ws``'s output plane of ``out_dtype``
+    (:func:`~repro.types.check_out_dtype`; :meth:`Workspace.output`):
+    float64, or ``uint8`` for a file sink.  It is the caller's while any
+    reference to it is held; once none is, ``ws`` may hand its memory
+    out again.  Pass 2 clips, rounds and stores each strip of a ``uint8``
     output while the strip is still in its lane's arena, so it holds the
     bytes of :func:`~repro.util.io.quantize_u8` of the float64 ``final``.
 
@@ -455,26 +507,36 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
     read only the original in exact integers (see
     :mod:`repro.algo.stages`), with the same bits as its float64 copy.
 
-    ``levels`` is the reduction level chain the pEdge mean is folded
-    through (see :func:`~repro.algo.stages.reduce_mean`; ``()`` for a
-    flat host sum).  Each phase of :data:`PHASES` is recorded as a span
-    of ``trace`` when the frame ends (a phase that raised, marked
-    ``error``).  Steady state allocates the returned output plane,
-    which the caller owns, the O(h + w) border ring and strength table,
-    and per strip only the overshoot blend's index temporaries (a few
-    bytes per overshooting pixel) and NumPy's casting buffers, all freed
-    before the strip ends.
+    ``levels`` is the reduction level chain a float pEdge's mean is
+    folded through (see :func:`~repro.algo.stages.reduce_mean`; ``()``
+    for a flat host sum).  An 8-bit frame's mean is the sum of its
+    strips' exact integer sums over ``h * w``, which every level chain
+    gives.  Each phase of :data:`PHASES` is recorded as a span of
+    ``trace`` when the frame ends (a phase that raised, marked
+    ``error``).  Steady state allocates the O(h + w) border ring and
+    strength table, a new output plane while the last one handed out is
+    still referenced, and per strip only the overshoot blend's index
+    temporaries (a few bytes per overshooting pixel) and NumPy's casting
+    buffers, all freed before the strip ends.
     """
     h, w = plane.shape
     u8 = plane.dtype == np.uint8
     out_dtype = check_out_dtype(out_dtype)
-    # Strip j covers interior rows [1 + j*S, 1 + (j+1)*S) ∩ [1, h-1).
+    # Strip j covers interior rows [1 + j*S, 1 + (j+1)*S) ∩ [1, h-1) and
+    # downscales blocks [ceil(j*S/4), ceil((j+1)*S/4)) ∩ [0, h/4): the
+    # strips cover h - 2 or more rows, so the last one runs to h/4.
     step = ws.strip
     n_strips = -(-(h - 2) // step)
     edge = ws.edge_plane(u8)
+    sums: list[float | None] = [None] * n_strips
 
     def bounds(j: int) -> tuple[int, int]:
         return 1 + j * step, min(1 + (j + 1) * step, h - 1)
+
+    def first(j: int, s: StripScratch) -> None:
+        b0, b1 = -(-j * step // 4), min(h // 4, -(-(j + 1) * step // 4))
+        sums[j] = _first_strip(plane, ws.down, edge, *bounds(j), b0, b1,
+                               s.views(step, w, u8))
 
     # The phase spans are recorded once the frame is done, from times
     # marked between the phases.  Opened and closed between the phases,
@@ -486,22 +548,17 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
     try:
         lanes = STRIP_LANES
         with lanes.frame():
-            with lanes.scratch(1) as (arena,):
-                colsum = arena.views(step, w, u8).colsum
-                block = colsum.shape[0] // 4
-                for k in range(0, h // 4, block):
-                    algo.downscale(plane[4 * k:4 * (k + block)],
-                                   out=ws.down[k:k + block], colsum=colsum)
-            marks.append(now())
-            lanes.run(n_strips, lambda j, s: _sobel_strip(
-                plane, edge, *bounds(j), s.views(step, w, u8)))
+            lanes.run(n_strips, first)
             marks.append(now())
             # Nothing writes the pEdge border ring, and Workspace.reset()
             # restores it, so it is zero.
-            edge_mean = algo.reduce_mean(edge, levels)
+            if u8:
+                edge_mean = sum(sums) / (h * w)
+            else:
+                edge_mean = algo.reduce_mean(edge, levels)
             marks.append(now())
             ring = algo.upscale_border_ring(ws.down)
-            final = np.empty((h, w), dtype=out_dtype)
+            final = ws.output(out_dtype)
             lut = algo.strength_table(edge_mean, params) if u8 else None
             tail = _Tail(edge, edge_mean, lut, ring, params, final)
             lanes.run(n_strips, lambda j, s: _sharpen_strip(

@@ -2,11 +2,14 @@
 
 A :class:`~repro.algo.strips.Workspace` holds the whole-frame planes the
 strip executor (:func:`repro.algo.strips.run`) writes into for one frame
-shape: the downscaled plane and the pEdge plane of each frame dtype.
-Checking one out, running a frame, and checking it back in allocates
-nothing but the frame's output; ``reset`` only re-zeros the pEdge border
-rings (four thin slices each — O(h + w) work), which is the sole
-cross-frame invariant the executor relies on.
+shape: the downscaled plane, the pEdge plane of each frame dtype and the
+output plane it last handed out of each output dtype.  Checking one out,
+running a frame, and checking it back in allocates no plane once the
+caller has dropped the previous frame's output (the workspace writes the
+next frame into that plane again; one still referenced is never
+reused); ``reset`` only re-zeros the pEdge border rings (four thin
+slices each — O(h + w) work), which is the sole cross-frame invariant
+the executor relies on.
 
 :class:`BufferPool` keeps at most ``max_entries`` idle workspaces per
 shape.  Checkouts beyond the bound still succeed (a fresh workspace is
@@ -14,14 +17,18 @@ built) but the surplus is dropped at check-in, so a burst never grows the
 steady-state footprint.  All operations are thread-safe: the batch
 engine's workers share one pool.
 
-Memory note (``Workspace.nbytes``): a workspace is planes only, 2.5
+Memory note (``Workspace.nbytes``): a workspace's planes take 2.5
 bytes per pixel (the ``int16`` pEdge of an 8-bit frame and the
 downscaled plane): 0.62 MiB at 512x512, 10.0 MiB at 2048x2048 and
 40.0 MiB at 4096x4096; the first float frame adds a float64 pEdge
-plane, 8 bytes per pixel more.  The strip scratch is process-wide: the
-strip lanes (:class:`~repro.algo.strips.StripLanes`) own one arena of
-about 4 MiB per lane busy at once, whatever the shapes and pools.  Size
-``max_entries`` (and the batch worker count) to the frame resolution.
+plane, 8 bytes per pixel more.  The output plane a workspace keeps adds
+8 bytes per pixel for a float64 output and 1 for a ``uint8`` one (a
+file sink's), per output dtype it has served; idle workspaces hold it
+too, so ``max_entries`` bounds it with the rest.  The strip scratch is
+process-wide: the strip lanes (:class:`~repro.algo.strips.StripLanes`)
+own one arena of about 4 MiB per lane busy at once, whatever the shapes
+and pools.  Size ``max_entries`` (and the batch worker count) to the
+frame resolution.
 """
 
 from __future__ import annotations

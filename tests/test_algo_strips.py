@@ -1,10 +1,11 @@
 """The 8-bit strip path: the strength table, the exact integer pEdge sums
-and the compact workspace.
+and the compact workspace; and pass 1's share of the downscale.
 
-An 8-bit frame's pEdge is an ``int16`` plane summed in ``int64``, and its
-strength is gathered from :func:`repro.algo.stages.strength_table`; each
-case here must give the bits of :func:`repro.algo.stages.sharpen` on the
-float64 copy of the same pixels.
+An 8-bit frame's pEdge is an ``int16`` plane whose strips pass 1 sums
+in ``int64``, and its strength is gathered from
+:func:`repro.algo.stages.strength_table`; each case here must give the
+bits of :func:`repro.algo.stages.sharpen` on the float64 copy of the
+same pixels.
 """
 
 import itertools
@@ -100,13 +101,36 @@ class TestStrengthTableAndIntegerSums:
         want = algo.strength_map(edge.astype(np.float64), 310.7, params)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("levels", [(), ((64 * 4096, 256), (256, 1))],
-                             ids=["flat", "grouped"])
-    def test_integer_sums_of_the_largest_values(self, levels):
+    def test_integer_strip_sum_of_the_largest_values(self):
+        # Pass 1 sums a strip of int16 pEdge rows in int64; the float64
+        # sum of the same values has the same bits.
         edge = np.full((64, 4096), algo.EDGE_MAX_U8, dtype=np.int16)
         edge[::3, ::7] = 1
-        want = algo.reduce_mean(edge.astype(np.float64), levels)
-        assert algo.reduce_mean(edge, levels) == want
+        want = algo.reduce_sum(edge.astype(np.float64))
+        assert algo.reduce_sum(edge) == want == float(
+            edge.sum(dtype=np.int64))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (20, 36), (36, 64), (68, 64)],
+                         ids=str)
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 7, 9, 64])
+def test_pass1_strips_downscale_every_block_once(monkeypatch, shape, rows):
+    # Strip j owns blocks [ceil(j*S/4), ceil((j+1)*S/4)), the last one up
+    # to h/4: every block of ``down`` is written, whatever the strip
+    # height, including ragged last strips.
+    monkeypatch.setattr(strips, "strip_rows",
+                        lambda h, w: max(1, min(h - 2, rows)))
+    monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(2))
+    frame = _natural(shape)
+    for plane in (frame, frame.astype(np.float64)):
+        ws = strips.Workspace(*shape)
+        ws.down[...] = np.nan
+        final, mean = strips.run(plane, SharpnessParams(), ws, (),
+                                 NULL_CONTEXT.trace)
+        ref = algo.sharpen(plane)
+        assert np.array_equal(ws.down, ref["downscaled"])
+        assert np.array_equal(final, ref["final"])
+        assert mean == ref["edge_mean"]
 
 
 class TestWorkspaceSize:

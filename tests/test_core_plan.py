@@ -277,9 +277,9 @@ _WARM_ALLOC_BOUND = 512 << 10
 
 
 class TestStripAllocations:
-    """A warm frame allocates its output plane, the 8-bit image's own copy
-    of its pixels, and less than :data:`_WARM_ALLOC_BOUND` of
-    temporaries."""
+    """A warm frame allocates the 8-bit image's own copy of its pixels,
+    less than :data:`_WARM_ALLOC_BOUND` of temporaries, and an output
+    plane only while its workspace's last one is still referenced."""
 
     @staticmethod
     def _warm_strips_run(monkeypatch, side, kind, out_dtype):
@@ -323,16 +323,29 @@ class TestStripAllocations:
         result, peak = _traced_peak(lambda: pipe.run(image))
         assert peak < result.final.nbytes + ws.nbytes + _WARM_ALLOC_BOUND
 
-    @pytest.mark.parametrize("side", [512, 1024])
-    def test_warm_gpu_run_of_u8(self, monkeypatch, side):
+    @staticmethod
+    def _warm_gpu_run(monkeypatch, side, out_dtype):
+        # The previous frame's result is dropped, so the pooled workspace
+        # hands its output plane out again: the frame allocates the 8-bit
+        # image's copy of its pixels and temporaries, and no plane.
         monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(2))
         frame = _frame((side, side), "u8", seed=4)
         pipe = GPUPipeline(OPTIMIZED)
-        pipe.run(frame)  # capture
-        pipe.run(frame)  # warm the pooled workspace's lanes
-        result, peak = _traced_peak(lambda: pipe.run(frame))
+        pipe.run(frame, out_dtype=out_dtype)  # capture
+        pipe.run(frame, out_dtype=out_dtype)  # warm the workspace's lanes
+        result, peak = _traced_peak(
+            lambda: pipe.run(frame, out_dtype=out_dtype))
         assert pipe.plan_cache.stats()["hits"] == 2
-        assert peak < result.final.nbytes + frame.size + _WARM_ALLOC_BOUND
+        assert result.final.dtype == out_dtype
+        assert peak < frame.size + _WARM_ALLOC_BOUND
+
+    @pytest.mark.parametrize("side", [512, 1024])
+    def test_warm_gpu_run_of_u8(self, monkeypatch, side):
+        self._warm_gpu_run(monkeypatch, side, np.float64)
+
+    @pytest.mark.parametrize("side", [512, 1024])
+    def test_warm_gpu_run_of_u8_to_u8(self, monkeypatch, side):
+        self._warm_gpu_run(monkeypatch, side, np.uint8)
 
 
 class TestStripConcurrency:
@@ -392,7 +405,7 @@ class TestStripConcurrency:
         phases = [s for s in obs.trace.spans if s.parent is failed_run]
         assert [s.name for s in phases] == list(strips.PHASES)
         assert [s.args.get("error", False) for s in phases] == [
-            False, False, False, True]
+            False, False, True]
         assert pipe.buffer_pool.stats()["in_use"] == 0
         assert strips.STRIP_LANES.busy() == 0
         # The workspace the failed frame used is clean for the next one.

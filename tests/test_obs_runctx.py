@@ -122,8 +122,7 @@ class TestGPUPipelineIntegration:
         # The second run replays the plan through the strip executor.
         replay = [s for s in obs.trace.spans if s.name == "gpu.run"][1]
         assert [s.name for s in obs.trace.spans if s.parent is replay] == [
-            "strips.downscale", "strips.pass1", "strips.reduce",
-            "strips.pass2"]
+            "strips.pass1", "strips.reduce", "strips.pass2"]
 
 
 class TestCPUPipelineIntegration:
@@ -137,8 +136,8 @@ class TestCPUPipelineIntegration:
         assert names[0] == "cpu.run"
         (run,) = [s for s in obs.trace.spans if s.name == "cpu.run"]
         phases = [s.name for s in obs.trace.spans if s.parent is run]
-        assert phases == ["strips.downscale", "strips.pass1",
-                          "strips.reduce", "strips.pass2"]
+        assert phases == ["strips.pass1", "strips.reduce",
+                          "strips.pass2"]
 
     def test_obs_does_not_change_pixels(self):
         img = images.natural_like(64, 64, seed=0)
