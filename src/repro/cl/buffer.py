@@ -13,16 +13,17 @@ class Buffer:
 
     Thin wrapper over :class:`~repro.simgpu.memory.GlobalBuffer` that ties
     the buffer to its context (cross-context use is an error, as in OpenCL)
-    and tracks map state for the map/unmap transfer mode.
+    and tracks map state for the map/unmap transfer mode.  ``allocate``
+    is ``GlobalBuffer``'s: a dry-run context's buffers are shape-only.
     """
 
     def __init__(self, context, shape: tuple[int, ...], *,
                  dtype=np.float64, transfer_itemsize: int | None = None,
-                 name: str | None = None) -> None:
+                 name: str | None = None, allocate: bool = True) -> None:
         self.context = context
         self.mem = GlobalBuffer(
             shape, dtype=dtype, transfer_itemsize=transfer_itemsize,
-            name=name,
+            name=name, allocate=allocate,
         )
 
     # -- introspection -------------------------------------------------------
@@ -40,9 +41,10 @@ class Buffer:
         return self.mem.nbytes
 
     @property
-    def data(self) -> np.ndarray:
-        """Backing array (device memory).  Host code must not touch this
-        directly — go through the queue's transfer commands."""
+    def data(self) -> np.ndarray | None:
+        """Backing array (device memory; ``None`` in a dry run).  Host
+        code must not touch this directly — go through the queue's
+        transfer commands."""
         self.mem._check_alive()
         return self.mem.data
 

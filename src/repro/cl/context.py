@@ -15,11 +15,12 @@ MODE_FUNCTIONAL = "functional"
 #: Kernel bodies run work-item by work-item through the emulator with real
 #: barriers/local memory.  Slow — for small-size correctness tests.
 MODE_EMULATE = "emulate"
-#: Kernel bodies are skipped entirely and transfers move no data; only the
+#: Kernel bodies are skipped entirely and no data exists to move; only the
 #: cost model runs.  The timeline and transfer bytes are identical to the
-#: functional mode's (costs are content-independent) but every buffer and
-#: read-back stays zero — for timing studies, and for capturing an
-#: execution plan on a plan-cache miss.
+#: functional mode's (costs are content-independent), but buffers are
+#: shape-only (no backing array) and every read-back or mapping is a
+#: read-only zero placeholder of the buffer's shape — for timing studies,
+#: and for capturing an execution plan on a plan-cache miss.
 MODE_DRYRUN = "dryrun"
 
 _MODES = (MODE_FUNCTIONAL, MODE_EMULATE, MODE_DRYRUN)
@@ -49,6 +50,8 @@ class Context:
     def create_buffer(self, shape: tuple[int, ...], *,
                       dtype=np.float64, transfer_itemsize: int | None = None,
                       name: str | None = None) -> Buffer:
-        """Allocate a device buffer (allocation itself is free, as in CL)."""
+        """Allocate a device buffer (allocation itself is free, as in CL;
+        a dry run's holds no data)."""
         return Buffer(self, shape, dtype=dtype,
-                      transfer_itemsize=transfer_itemsize, name=name)
+                      transfer_itemsize=transfer_itemsize, name=name,
+                      allocate=self.mode != MODE_DRYRUN)

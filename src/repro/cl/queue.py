@@ -19,9 +19,12 @@ that kernels "have to be executed serially through global synchronization".
 
 In ``MODE_DRYRUN`` (:attr:`CommandQueue.dry`) every command is checked,
 fault-injected, priced and counted exactly as in the functional mode, but
-nothing moves: kernel bodies are skipped, writes copy nothing and reads
-return zeros.  The timeline and ``transfer_bytes`` are those of a
-functional run, which is how a plan-cache miss captures its plan.
+no pixel exists: buffers are shape-only, kernel bodies are skipped,
+writes store nothing, and reads and mappings return a read-only zero
+placeholder of the buffer's shape
+(:func:`~repro.simgpu.memory.placeholder`) that the host must not write.
+The timeline and ``transfer_bytes`` are those of a functional run, which
+is how a plan-cache miss captures its plan.
 
 The queue-level metrics are written per frame from its timeline by
 :func:`record_commands`, not per command, so a generic frame and a
@@ -145,12 +148,6 @@ class CommandQueue:
                 sim_us=duration * 1e6,
             )
 
-    def _read(self, buf: Buffer) -> np.ndarray:
-        """A host copy of ``buf``; a dry run's is untouched zeros."""
-        if self.dry:
-            return np.zeros(buf.shape, dtype=buf.data.dtype)
-        return buf.mem.read()
-
     def _note_transfer(self, direction: str, nbytes: int) -> None:
         self.transfer_bytes[direction] += nbytes
 
@@ -165,8 +162,7 @@ class CommandQueue:
         self._check_alive()
         self._check_buffer(buf)
         self._maybe_fault("transfer", f"write:{buf.name}")
-        if not self.dry:
-            buf.mem.write(np.asarray(host))
+        buf.mem.write(host)
         duration = self.context.device.pcie.rw_time(buf.nbytes)
         self._note_transfer("h2d", buf.nbytes)
         self._record(f"write:{buf.name}", "transfer", duration, stage)
@@ -177,7 +173,7 @@ class CommandQueue:
         self._check_alive()
         self._check_buffer(buf)
         self._maybe_fault("transfer", f"read:{buf.name}")
-        host = self._read(buf)
+        host = buf.mem.read()
         duration = self.context.device.pcie.rw_time(buf.nbytes)
         self._note_transfer("d2h", buf.nbytes)
         self._record(f"read:{buf.name}", "transfer", duration, stage)
@@ -190,23 +186,24 @@ class CommandQueue:
         """Map a buffer into host memory (``clEnqueueMapBuffer``).
 
         For reads the on-demand transfer is charged at map time and the
-        returned array holds the data.  For writes a staging array is
-        returned; the transfer is charged when :meth:`enqueue_unmap` makes
-        the data visible to the device.
+        returned array holds the data.  For writes a staging copy of the
+        buffer is returned; the transfer is charged when
+        :meth:`enqueue_unmap` makes the data visible to the device.  A dry
+        run's mapping is a read-only placeholder either way.
         """
         self._check_alive()
         self._check_buffer(buf)
         self._maybe_fault("transfer", f"map:{buf.name}")
         buf.begin_map()
         if write:
-            staging = np.zeros(buf.shape, dtype=buf.data.dtype)
+            staging = buf.mem.read()
             self._pending_maps[id(buf)] = (buf, staging, stage)
             return staging
         duration = self.context.device.pcie.map_time(buf.nbytes)
         self._note_transfer("d2h", buf.nbytes)
         self._record(f"map-read:{buf.name}", "transfer", duration, stage)
         self._pending_maps[id(buf)] = (buf, None, stage)
-        return self._read(buf)
+        return buf.mem.read()
 
     def enqueue_unmap(self, buf: Buffer, mapped: np.ndarray | None = None,
                       *, stage: str = "transfer") -> None:
@@ -219,9 +216,7 @@ class CommandQueue:
             raise MapError(f"{buf.name}: unmap without map") from None
         buf.end_map()
         if staging is not None:
-            if not self.dry:
-                source = mapped if mapped is not None else staging
-                buf.mem.write(np.asarray(source))
+            buf.mem.write(mapped if mapped is not None else staging)
             duration = self.context.device.pcie.map_time(buf.nbytes)
             self._note_transfer("h2d", buf.nbytes)
             self._record(
@@ -256,8 +251,7 @@ class CommandQueue:
                 f"{buf.name}: rect {host.shape} at origin {dst_origin} "
                 f"exceeds buffer {buf.shape}"
             )
-        if not self.dry:
-            buf.data[r0:r0 + rows, c0:c0 + cols] = host
+        buf.mem.write(host, (r0, c0))
         nbytes = host.size * buf.mem.transfer_itemsize
         duration = self.context.device.pcie.rect_time(nbytes, rows)
         self._note_transfer("h2d", nbytes)

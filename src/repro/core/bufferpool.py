@@ -58,10 +58,13 @@ class BufferPool:
         self.reused = 0
         self.discarded = 0
 
-    def checkout(self, h: int, w: int) -> Workspace:
-        """Borrow a frame-clean workspace for an ``h x w`` frame."""
+    def checkout(self, h: int, w: int, *, device: bool = True) -> Workspace:
+        """Borrow a frame-clean workspace for an ``h x w`` frame.
+
+        ``device=False`` borrows it for a host frame (the CPU pipeline's),
+        which the simulated device OOM site does not concern."""
         obs = self.obs
-        if obs is not None and obs.faults is not None:
+        if device and obs is not None and obs.faults is not None:
             # Simulated device OOM fires before any pool state changes, so
             # a retried checkout starts from a clean slate.
             obs.faults.check("oom", obs, detail=f"checkout:{h}x{w}")
@@ -89,9 +92,10 @@ class BufferPool:
             else:
                 self.discarded += 1
 
-    def lease(self, h: int, w: int):
-        """``with pool.lease(h, w) as ws:`` checkout/checkin guard."""
-        return _Lease(self, h, w)
+    def lease(self, h: int, w: int, *, device: bool = True):
+        """``with pool.lease(h, w) as ws:`` checkout/checkin guard
+        (``device`` as for :meth:`checkout`)."""
+        return _Lease(self, h, w, device)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -126,13 +130,16 @@ class BufferPool:
 class _Lease:
     """Context manager backing :meth:`BufferPool.lease`."""
 
-    def __init__(self, pool: BufferPool, h: int, w: int) -> None:
+    def __init__(self, pool: BufferPool, h: int, w: int,
+                 device: bool) -> None:
         self._pool = pool
         self._h, self._w = h, w
+        self._device = device
         self._ws: Workspace | None = None
 
     def __enter__(self) -> Workspace:
-        self._ws = self._pool.checkout(self._h, self._w)
+        self._ws = self._pool.checkout(self._h, self._w,
+                                       device=self._device)
         return self._ws
 
     def __exit__(self, *exc) -> None:

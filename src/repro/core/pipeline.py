@@ -42,6 +42,7 @@ from ..kernels.reduction import reduction_layout
 from ..kernels.upscale_border import BORDER_GLOBAL, BORDER_LOCAL
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
+from ..simgpu.memory import placeholder
 from ..types import (FLOAT, PIXEL, FrameResult, Image, SharpnessParams,
                      check_out_dtype)
 from ..util.io import quantize_u8
@@ -79,9 +80,10 @@ class GPUPipeline:
     mode:
         ``"functional"`` (fast), ``"emulate"`` (per-work-item, small
         images only) or ``"dryrun"`` (every command enqueued and priced,
-        no kernel body run: the simulated timeline of a frame whose
-        ``final`` stays all zeros, as the calibration and portability
-        sweeps use it).
+        no buffer allocated and no kernel body run: the simulated
+        timeline of a frame whose ``final`` is a read-only zero
+        placeholder of the frame's shape, as the calibration and
+        portability sweeps use it).
     obs:
         Optional :class:`~repro.obs.RunContext`.  When given, every run
         emits host spans per stage, merges the simulated device timeline
@@ -260,9 +262,10 @@ class GPUPipeline:
         plan, so it runs the queue in ``MODE_DRYRUN`` over a zero-stride
         placeholder of the frame's shape: the same commands, fault sites,
         timeline and transfer bytes as a functional run, with no kernel
-        body and no device copy (its pixels are discarded).  The host
-        border is skipped; the other host steps (padding, map staging,
-        the reduction sum) run over zeros.
+        body and no pixel anywhere.  Its buffers are shape-only, every
+        read-back (``final`` included) is a read-only zero placeholder,
+        and the host steps build no plane: the host border and padding
+        are skipped, and the reduction sums a placeholder.
         """
         flags = self.flags
         ctx = Context(self.device,
@@ -271,8 +274,7 @@ class GPUPipeline:
         h, w = image.shape
         n = h * w
         # A dry run reads only the frame's shape.
-        plane = (np.broadcast_to(np.float64(0.0), (h, w)) if queue.dry
-                 else image.plane)
+        plane = placeholder((h, w)) if queue.dry else image.plane
         planner = TransferPlanner(queue, flags.transfer_mode, self.cpu)
         kernels = build_kernel_set(flags)
         if obs.enabled:
@@ -329,8 +331,10 @@ class GPUPipeline:
                 queue.host_step("border_host",
                                 border_host_time(h, w, self.cpu),
                                 stage="border")
-                up_host = np.zeros((h, w), dtype=np.float64)
-                if not queue.dry:
+                if queue.dry:
+                    up_host = placeholder((h, w))
+                else:
+                    up_host = np.zeros((h, w), dtype=np.float64)
                     algo.upscale_border_apply(up_host, down_host)
                 planner.upload(up_buf, up_host, stage="border")
 

@@ -11,6 +11,10 @@ implements the padded-original upload three ways:
   upload;
 * ``pad_on_transfer``: a single ``clEnqueueWriteBufferRect`` that writes the
   original into the interior of the padded buffer during the transfer.
+
+On a dry-run queue (:attr:`~repro.cl.CommandQueue.dry`) the host side is
+shape-only too: nothing is copied into a mapping or padded on the host,
+so a priced upload holds no pixel.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from ..cl.buffer import Buffer
 from ..cl.queue import CommandQueue
 from ..cpu.cost import padding_host_time
 from ..simgpu.device import CPUSpec
+from ..simgpu.memory import placeholder
 
 
 class TransferPlanner:
@@ -40,7 +45,8 @@ class TransferPlanner:
         else:
             mapped = self.queue.enqueue_map_buffer(buf, write=True,
                                                    stage=stage)
-            mapped[...] = host
+            if not self.queue.dry:
+                mapped[...] = host
             self.queue.enqueue_unmap(buf, mapped, stage=stage)
 
     def download(self, buf: Buffer, *, stage: str) -> np.ndarray:
@@ -65,8 +71,11 @@ class TransferPlanner:
             return
         # Host-side padding: build the padded matrix on the CPU (billed as
         # a host step), then one bulk upload.
-        padded_host = np.zeros((h + 2, w + 2), dtype=plane.dtype)
-        padded_host[1 : h + 1, 1 : w + 1] = plane
+        if self.queue.dry:
+            padded_host = placeholder((h + 2, w + 2), plane.dtype)
+        else:
+            padded_host = np.zeros((h + 2, w + 2), dtype=plane.dtype)
+            padded_host[1 : h + 1, 1 : w + 1] = plane
         self.queue.host_step(
             "pad_host", padding_host_time(h, w, self.cpu), stage="padding"
         )

@@ -10,6 +10,9 @@ chain of ``host`` events.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..algo import strips
@@ -18,6 +21,9 @@ from ..simgpu.device import CPUSpec, I5_3470
 from ..simgpu.profiling import Timeline
 from ..types import FLOAT, FrameResult, Image, SharpnessParams
 from . import cost
+
+if TYPE_CHECKING:
+    from ..core.bufferpool import BufferPool
 
 
 class CPUPipeline:
@@ -38,16 +44,33 @@ class CPUPipeline:
         is merged into the trace.
     label:
         Pipeline label used in metrics and logs (defaults to ``"cpu"``).
+    buffer_pool:
+        A :class:`~repro.core.bufferpool.BufferPool` each frame leases its
+        executor workspace from (the GPU pipeline's, when
+        :class:`~repro.resilience.FallbackPipeline` builds the understudy),
+        so a warm frame allocates no plane: like a replayed GPU frame, it
+        is written into the output plane the caller dropped
+        (:meth:`~repro.algo.strips.Workspace.output`).  By default each
+        frame builds its own workspace.
     """
 
     def __init__(self, params: SharpnessParams | None = None,
                  cpu: CPUSpec = I5_3470, *,
                  obs: RunContext | None = None,
-                 label: str = "cpu") -> None:
+                 label: str = "cpu",
+                 buffer_pool: BufferPool | None = None) -> None:
         self.params = params or SharpnessParams()
         self.cpu = cpu
         self.obs = obs or NULL_CONTEXT
         self.label = label
+        self.buffer_pool = buffer_pool
+
+    def _workspace(self, h: int, w: int):
+        """The frame's workspace, as a context manager: leased from the
+        pool, or a fresh one."""
+        if self.buffer_pool is None:
+            return nullcontext(strips.Workspace(h, w))
+        return self.buffer_pool.lease(h, w, device=False)
 
     def run(self, image: Image | np.ndarray, *,
             out_dtype=FLOAT) -> FrameResult:
@@ -61,10 +84,10 @@ class CPUPipeline:
         obs = self.obs
         times = cost.stage_times(h, w, self.cpu)
 
-        with obs.trace.span("cpu.run", pipeline=self.label, h=h, w=w):
-            final, edge_mean = strips.run(
-                src, self.params, strips.Workspace(h, w), (), obs.trace,
-                out_dtype=out_dtype)
+        with obs.trace.span("cpu.run", pipeline=self.label, h=h, w=w), \
+                self._workspace(h, w) as ws:
+            final, edge_mean = strips.run(src, self.params, ws, (),
+                                          obs.trace, out_dtype=out_dtype)
 
         timeline = Timeline()
         for stage, seconds in times.times.items():

@@ -86,7 +86,9 @@ class FallbackPipeline:
         5-failure breaker, fallback on).
     cpu:
         The understudy; built from the GPU pipeline's params/cpu spec when
-        omitted.
+        omitted, leasing its workspaces from the GPU pipeline's buffer
+        pool (if it has one), so a breaker-open frame allocates no plane
+        once warm.
     obs:
         :class:`~repro.obs.RunContext`; defaults to the GPU pipeline's.
     sleep / clock:
@@ -102,7 +104,8 @@ class FallbackPipeline:
         self.obs = obs if obs is not None else getattr(
             gpu, "obs", NULL_CONTEXT)
         self.cpu = cpu if cpu is not None else CPUPipeline(
-            gpu.params, gpu.cpu, obs=self.obs, label="cpu-fallback")
+            gpu.params, gpu.cpu, obs=self.obs, label="cpu-fallback",
+            buffer_pool=getattr(gpu, "buffer_pool", None))
         self.breaker = self.config.make_breaker(
             name=getattr(gpu, "label", "gpu"), obs=self.obs)
         self.budget = self.config.make_budget()

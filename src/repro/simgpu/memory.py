@@ -10,6 +10,7 @@ fault, not a convenience).  :class:`LocalMemory` models workgroup-private
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -96,6 +97,13 @@ class CheckedArray:
             yield self[i]
 
 
+def placeholder(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A read-only, zero-stride array of zeros of ``shape``: host data of
+    a frame that is priced but not computed (a dry run), holding one
+    element whatever its shape."""
+    return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+
+
 class GlobalBuffer:
     """A device global-memory buffer backed by a NumPy array.
 
@@ -103,22 +111,30 @@ class GlobalBuffer:
     of it costs.  For 8-bit image planes that are promoted to float for
     arithmetic, the transfer dtype (1 byte/pixel) differs from the compute
     dtype; ``transfer_itemsize`` captures that.
+
+    ``allocate=False`` makes a shape-only buffer, as a dry run creates:
+    it has the shape, dtype and transfer size of an allocated one but
+    ``data`` is ``None``; writes are checked and store nothing, and a
+    read hands back a :func:`placeholder`.
     """
 
     _counter = 0
 
     def __init__(self, shape: tuple[int, ...], *, dtype=np.float64,
                  transfer_itemsize: int | None = None,
-                 name: str | None = None) -> None:
+                 name: str | None = None, allocate: bool = True) -> None:
         if any(int(s) <= 0 for s in shape):
             raise InvalidBufferError(f"invalid buffer shape {shape}")
         GlobalBuffer._counter += 1
         self.name = name or f"buf{GlobalBuffer._counter}"
-        self.data = np.zeros(shape, dtype=dtype)
+        self.shape = tuple(int(s) for s in shape)
+        self.dtype = np.dtype(dtype)
+        self.data = np.zeros(self.shape, dtype=self.dtype) if allocate \
+            else None
         self.transfer_itemsize = (
             int(transfer_itemsize)
             if transfer_itemsize is not None
-            else int(self.data.itemsize)
+            else self.dtype.itemsize
         )
         self.released = False
         self._mapped = False
@@ -135,26 +151,33 @@ class GlobalBuffer:
     # -- host access (used by the cl layer) ---------------------------------
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.data.shape)
-
-    @property
     def nbytes(self) -> int:
         """Transfer size in bytes."""
-        return int(self.data.size) * self.transfer_itemsize
+        return math.prod(self.shape) * self.transfer_itemsize
 
-    def write(self, host: np.ndarray) -> None:
+    def write(self, host: np.ndarray,
+              origin: tuple[int, ...] | None = None) -> None:
+        """Copy ``host`` into the buffer, or into the region of its shape
+        at ``origin`` (which the caller has bounds-checked)."""
         self._check_alive()
         host = np.asarray(host)
-        if host.shape != self.data.shape:
-            raise InvalidBufferError(
-                f"{self.name}: write shape {host.shape} != buffer shape "
-                f"{self.data.shape}"
-            )
-        self.data[...] = host
+        if origin is None:
+            if host.shape != self.shape:
+                raise InvalidBufferError(
+                    f"{self.name}: write shape {host.shape} != buffer shape "
+                    f"{self.shape}"
+                )
+            origin = (0,) * host.ndim
+        if self.data is not None:
+            self.data[tuple(slice(o, o + n) for o, n
+                            in zip(origin, host.shape))] = host
 
     def read(self) -> np.ndarray:
+        """A host copy of the buffer (a shape-only buffer's is a
+        :func:`placeholder`)."""
         self._check_alive()
+        if self.data is None:
+            return placeholder(self.shape, self.dtype)
         return self.data.copy()
 
     # -- kernel access ------------------------------------------------------

@@ -49,6 +49,21 @@ def _fallback():
     return lambda frame, dt: _single(pipe.run(frame, out_dtype=dt))
 
 
+def _degraded():
+    # Every kernel launch fails: the CPU understudy serves each frame
+    # from a workspace leased from the GPU pipeline's pool.
+    obs = RunContext.create(
+        log_level="error", log_stream=io.StringIO(),
+        faults=FaultPlan.parse("kernel:rate=1.0,kind=permanent"))
+    pipe = FallbackPipeline(GPUPipeline(OPTIMIZED, obs=obs), obs=obs)
+
+    def run(frame, dt):
+        result = pipe.run(frame, out_dtype=dt)
+        assert result.backend == "cpu-fallback"
+        return result, result.final
+    return run
+
+
 def _engine(workers):
     engines = {dt: BatchEngine(OPTIMIZED, workers=workers, keep_outputs=True,
                                out_dtype=dt) for dt in DTYPES}
@@ -67,6 +82,7 @@ def _single(result):
 RUNNERS = {
     "gpu": _gpu,
     "fallback": _fallback,
+    "degraded": _degraded,
     "engine1": lambda: _engine(1),
     "engine2": lambda: _engine(2),
 }
@@ -119,8 +135,9 @@ def test_a_held_plane_is_not_handed_out_again(runner, holder, dtype):
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "u8"])
 def test_degraded_frames_never_share_a_plane(dtype):
-    # Frames served by the CPU understudy build a workspace each, so each
-    # gets a plane of its own.
+    # Frames served by the CPU understudy share a pooled workspace; while
+    # the earlier results are held, each frame still gets a plane of its
+    # own.
     obs = RunContext.create(
         log_level="error", log_stream=io.StringIO(),
         faults=FaultPlan.parse("kernel:rate=1.0,kind=permanent"))
