@@ -74,7 +74,7 @@ def measure() -> dict:
             engine = BatchEngine(OPTIMIZED, workers=WORKERS,
                                  out_dtype=np.uint8,
                                  hooks=BatchWriter(inputs, out_dir))
-            engine.run(source=lambda: (read_pgm(p) for p in inputs))
+            engine.run(read_pgm(p) for p in inputs)
 
         # Durable: full lifecycle — fsync'd journal, manifest rotations,
         # watchdog ticking, health snapshots.  Fresh job dir per run (a

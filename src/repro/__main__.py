@@ -208,8 +208,7 @@ def cmd_batch(args, params, obs) -> int:
                          out_dtype=PIXEL, obs=obs, resilience=resilience,
                          hooks=BatchWriter(frames, out_dir))
     with obs.span("cli.batch", frames=len(frames), workers=args.workers):
-        result = engine.run(
-            source=lambda: (_read_image(read_pgm, p) for p in frames))
+        result = engine.run(_read_image(read_pgm, p) for p in frames)
     stats = result.plan_stats
     backends = ", ".join(f"{k}={v}"
                          for k, v in sorted(result.backends().items()))

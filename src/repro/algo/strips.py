@@ -233,9 +233,8 @@ class Workspace:
             )
         self.h, self.w = h, w
         self.down = np.empty((h // 4, w // 4), dtype=FLOAT)
-        #: The bytes of the 8-bit frames' ``int16`` pEdge plane
-        #: (:attr:`edge`).
-        self.edge_store = np.zeros(-(-h * w // 4), dtype=FLOAT)
+        #: The 8-bit frames' ``int16`` pEdge plane.
+        self.edge = np.zeros((h, w), dtype=np.int16)
         #: The float frames' pEdge plane, made by the first float frame.
         self.edge_float: np.ndarray | None = None
         #: The output plane last handed out, one per output dtype.
@@ -272,15 +271,9 @@ class Workspace:
         return self.edge_float
 
     @property
-    def edge(self) -> np.ndarray:
-        """The 8-bit frames' ``int16`` pEdge plane."""
-        h, w = self.h, self.w
-        return self.edge_store.view(np.int16)[:h * w].reshape(h, w)
-
-    @property
     def nbytes(self) -> int:
         """Total footprint of the planes, the kept outputs included."""
-        return (self.down.nbytes + self.edge_store.nbytes
+        return (self.down.nbytes + self.edge.nbytes
                 + (0 if self.edge_float is None else self.edge_float.nbytes)
                 + sum(plane.nbytes for plane in self.outputs))
 

@@ -331,7 +331,7 @@ class BatchEngine:
                 )
         self.resilience = resilience
         self.plan_cache = PlanCache()
-        self.buffer_pool = BufferPool(max_entries=workers + 1, obs=self.obs)
+        self.buffer_pool = BufferPool(max_entries=workers + 1)
         #: The one pipeline every worker runs.
         self.pipeline = GPUPipeline(
             flags, params, device, cpu, obs=self.obs, label="batch",
@@ -405,12 +405,15 @@ class BatchEngine:
     def run(self, frames=None, *, source=None,
             frame_ids=None) -> BatchResult:
         """Process ``frames`` (iterable of arrays or Images), preserving
-        order; blocks until every frame is done.
+        order; blocks until every frame is done.  Frames are pulled only
+        as backpressure admits them, so a generator (one that reads files,
+        say) is read lazily.
 
-        ``source`` is the lazy alternative: a zero-argument callable
-        returning the frame iterable, invoked once at run start (a
-        non-callable source is a :class:`~repro.errors.ConfigError` —
-        caught here rather than deep in the worker pool).
+        ``source`` is a zero-argument callable returning the frame
+        iterable, invoked once at run start: the same as passing
+        ``source()`` as ``frames`` (a non-callable source is a
+        :class:`~repro.errors.ConfigError` — caught here rather than deep
+        in the worker pool).
 
         ``frame_ids`` assigns each frame its stable identity (a sequence
         aligned with the stream or a ``callable(index, frame) -> str``);

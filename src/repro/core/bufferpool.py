@@ -15,7 +15,11 @@ the executor relies on.
 shape.  Checkouts beyond the bound still succeed (a fresh workspace is
 built) but the surplus is dropped at check-in, so a burst never grows the
 steady-state footprint.  All operations are thread-safe: the batch
-engine's workers share one pool.
+engine's workers share one pool.  The pool holds no fault plan: a
+replayed GPU frame passes the simulated device ``oom`` fault site in
+:meth:`~repro.core.pipeline.GPUPipeline.run` just before its lease, and a
+CPU frame (:class:`~repro.cpu.CPUPipeline`) leases with no device site to
+pass.
 
 Memory note (``Workspace.nbytes``): a workspace's planes take 2.5
 bytes per pixel (the ``int16`` pEdge of an 8-bit frame and the
@@ -34,6 +38,7 @@ frame resolution.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 from ..algo.strips import Workspace
 from ..errors import ConfigError
@@ -42,15 +47,12 @@ from ..errors import ConfigError
 class BufferPool:
     """Bounded, thread-safe pool of :class:`Workspace` objects per shape."""
 
-    def __init__(self, max_entries: int = 4, *, obs=None) -> None:
+    def __init__(self, max_entries: int = 4) -> None:
         if max_entries < 1:
             raise ConfigError(
                 f"buffer pool max_entries must be >= 1, got {max_entries}"
             )
         self.max_entries = max_entries
-        #: Optional RunContext; its fault plan's ``oom`` site makes
-        #: checkouts simulate CL_MEM_OBJECT_ALLOCATION_FAILURE.
-        self.obs = obs
         self._idle: dict[tuple[int, int], list[Workspace]] = {}
         self._lock = threading.Lock()
         self.in_use = 0
@@ -58,16 +60,8 @@ class BufferPool:
         self.reused = 0
         self.discarded = 0
 
-    def checkout(self, h: int, w: int, *, device: bool = True) -> Workspace:
-        """Borrow a frame-clean workspace for an ``h x w`` frame.
-
-        ``device=False`` borrows it for a host frame (the CPU pipeline's),
-        which the simulated device OOM site does not concern."""
-        obs = self.obs
-        if device and obs is not None and obs.faults is not None:
-            # Simulated device OOM fires before any pool state changes, so
-            # a retried checkout starts from a clean slate.
-            obs.faults.check("oom", obs, detail=f"checkout:{h}x{w}")
+    def checkout(self, h: int, w: int) -> Workspace:
+        """Borrow a frame-clean workspace for an ``h x w`` frame."""
         with self._lock:
             stack = self._idle.get((h, w))
             ws = stack.pop() if stack else None
@@ -92,10 +86,14 @@ class BufferPool:
             else:
                 self.discarded += 1
 
-    def lease(self, h: int, w: int, *, device: bool = True):
-        """``with pool.lease(h, w) as ws:`` checkout/checkin guard
-        (``device`` as for :meth:`checkout`)."""
-        return _Lease(self, h, w, device)
+    @contextmanager
+    def lease(self, h: int, w: int):
+        """``with pool.lease(h, w) as ws:`` checkout/checkin guard."""
+        ws = self.checkout(h, w)
+        try:
+            yield ws
+        finally:
+            self.checkin(ws)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -125,24 +123,3 @@ class BufferPool:
                 "repro_bufferpool_idle",
                 "Idle workspaces parked in the buffer pool",
             ).set(sum(len(s) for s in self._idle.values()))
-
-
-class _Lease:
-    """Context manager backing :meth:`BufferPool.lease`."""
-
-    def __init__(self, pool: BufferPool, h: int, w: int,
-                 device: bool) -> None:
-        self._pool = pool
-        self._h, self._w = h, w
-        self._device = device
-        self._ws: Workspace | None = None
-
-    def __enter__(self) -> Workspace:
-        self._ws = self._pool.checkout(self._h, self._w,
-                                       device=self._device)
-        return self._ws
-
-    def __exit__(self, *exc) -> None:
-        if self._ws is not None:
-            self._pool.checkin(self._ws)
-            self._ws = None

@@ -141,7 +141,7 @@ class GPUPipeline:
         self.plan_cache = plan_cache if plan_cache is not None else (
             PlanCache() if caching else None)
         self.buffer_pool = buffer_pool if buffer_pool is not None else (
-            BufferPool(obs=self.obs) if caching else None)
+            BufferPool() if caching else None)
 
     # -- helpers -------------------------------------------------------------
 
@@ -197,15 +197,21 @@ class GPUPipeline:
                     self._plan_key(image), capture)
                 if hit:
                     self._count_lookup(obs, "hit")
-                    if obs.faults is not None:
-                        # A hit never touches a CommandQueue, so the
-                        # queue's transfer/kernel fault sites would go dark
-                        # once a shape is cached.  One check per site
-                        # stands in for the replayed commands; a miss has
-                        # just passed the real sites in its dry run.
+                if obs.faults is not None:
+                    # A hit never touches a CommandQueue, so the queue's
+                    # transfer/kernel fault sites would go dark once a
+                    # shape is cached.  One check per site stands in for
+                    # the replayed commands; a miss has just passed the
+                    # real sites in its dry run.  Every replay then
+                    # allocates its device workspace (simulated OOM fires
+                    # before the pool changes, so a retry starts clean).
+                    if hit:
                         obs.faults.check("transfer", obs,
                                          detail="plan-replay")
                         obs.faults.check("kernel", obs, detail="plan-replay")
+                    obs.faults.check(
+                        "oom", obs,
+                        detail=f"checkout:{image.height}x{image.width}")
                 with self.buffer_pool.lease(image.height, image.width) as ws:
                     final, edge_mean = plan.execute(
                         image.pixels, self.params, ws, trace=obs.trace,
@@ -242,9 +248,7 @@ class GPUPipeline:
         emulation and dry runs stay fully generic.  A plan-eligible
         pipeline runs the generic host code only to capture, as a dry
         run."""
-        return (self.caching and self.plan_cache is not None
-                and self.buffer_pool is not None
-                and self.mode == "functional")
+        return self.caching and self.mode == "functional"
 
     def _plan_key(self, image: Image) -> PlanKey:
         return PlanKey(

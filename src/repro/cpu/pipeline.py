@@ -10,7 +10,6 @@ chain of ``host`` events.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,13 +44,14 @@ class CPUPipeline:
     label:
         Pipeline label used in metrics and logs (defaults to ``"cpu"``).
     buffer_pool:
-        A :class:`~repro.core.bufferpool.BufferPool` each frame leases its
-        executor workspace from (the GPU pipeline's, when
-        :class:`~repro.resilience.FallbackPipeline` builds the understudy),
-        so a warm frame allocates no plane: like a replayed GPU frame, it
-        is written into the output plane the caller dropped
-        (:meth:`~repro.algo.strips.Workspace.output`).  By default each
-        frame builds its own workspace.
+        The :class:`~repro.core.bufferpool.BufferPool` each frame leases
+        its executor workspace from (the GPU pipeline's, when
+        :class:`~repro.resilience.FallbackPipeline` builds the understudy);
+        by default the pipeline owns one, as a caching
+        :class:`~repro.core.GPUPipeline` does.  A warm frame allocates no
+        plane: like a replayed GPU frame, it is written into the output
+        plane the caller dropped
+        (:meth:`~repro.algo.strips.Workspace.output`).
     """
 
     def __init__(self, params: SharpnessParams | None = None,
@@ -63,14 +63,11 @@ class CPUPipeline:
         self.cpu = cpu
         self.obs = obs or NULL_CONTEXT
         self.label = label
+        if buffer_pool is None:
+            # Imported here: repro.core imports repro.cpu.
+            from ..core.bufferpool import BufferPool
+            buffer_pool = BufferPool()
         self.buffer_pool = buffer_pool
-
-    def _workspace(self, h: int, w: int):
-        """The frame's workspace, as a context manager: leased from the
-        pool, or a fresh one."""
-        if self.buffer_pool is None:
-            return nullcontext(strips.Workspace(h, w))
-        return self.buffer_pool.lease(h, w, device=False)
 
     def run(self, image: Image | np.ndarray, *,
             out_dtype=FLOAT) -> FrameResult:
@@ -85,7 +82,7 @@ class CPUPipeline:
         times = cost.stage_times(h, w, self.cpu)
 
         with obs.trace.span("cpu.run", pipeline=self.label, h=h, w=w), \
-                self._workspace(h, w) as ws:
+                self.buffer_pool.lease(h, w) as ws:
             final, edge_mean = strips.run(src, self.params, ws, (),
                                           obs.trace, out_dtype=out_dtype)
 

@@ -338,7 +338,7 @@ class BatchJob:
             if todo_ids:
                 todo_paths = [self._by_id[fid] for fid in todo_ids]
                 result = engine.run(
-                    source=lambda: (self.loader(p) for p in todo_paths),
+                    (self.loader(p) for p in todo_paths),
                     frame_ids=todo_ids,
                 )
         except Exception:  # repro: ignore[PL-BROAD-EXCEPT] crash boundary: mark failed, re-raise

@@ -13,7 +13,8 @@ transfer   every ``cl.queue`` transfer command (and once per     :class:`~repro.
            replayed transfers)
 kernel     every ``enqueue_nd_range`` / emulated kernel launch   :class:`~repro.errors.KernelLaunchFault`
            (and once per replayed frame)
-oom        every ``BufferPool.checkout``                         :class:`~repro.errors.DeviceOOMError`
+oom        every replayed GPU frame's workspace lease (the       :class:`~repro.errors.DeviceOOMError`
+           CPU path's leases pass no device site)
 worker     every batch-engine frame dispatch                     :class:`~repro.errors.WorkerCrashError`
 hang       every batch-engine frame dispatch (stalls; raises     :class:`~repro.errors.FrameHangError`
            only when the lifecycle watchdog cancels the stall)

@@ -158,10 +158,11 @@ class Image:
         return self.height * self.width
 
     def to_u8(self) -> np.ndarray:
-        """Return the plane rounded and clamped to ``uint8``."""
+        """Return a copy of the plane as ``uint8``, rounded as
+        :func:`~repro.util.io.quantize_u8` rounds."""
         if self.pixels.dtype == PIXEL:
             return self.pixels.copy()
-        return np.clip(np.rint(self.plane), 0, 255).astype(PIXEL)
+        return quantize_u8(self.plane)
 
     @classmethod
     def from_array(cls, array: np.ndarray) -> "Image":

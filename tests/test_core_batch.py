@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BatchEngine, GPUPipeline, OPTIMIZED
+from repro.core.batch import NoHooks
 from repro.errors import ConfigError, ValidationError
 from repro.obs import RunContext
 from repro.types import Image
@@ -68,6 +69,34 @@ class TestBatchEngine:
             [small[0], large[0], small[1], large[1]])
         shapes = [o.shape for o in result.outputs]
         assert shapes == [(32, 32), (48, 48), (32, 32), (48, 48)]
+
+    @pytest.mark.parametrize("queue_depth", [1, 3])
+    def test_a_generator_is_pulled_lazily(self, frames, queue_depth):
+        """A generator (``BatchJob``'s and ``--batch``'s file readers) is
+        read only as backpressure admits its frames: at most
+        ``queue_depth + 1`` are pulled and not yet collected.  One worker
+        finishes frames in submission order, which the bound needs: a
+        frame that finished behind a slower one frees its slot before it
+        is collected."""
+
+        class Collected(NoHooks):
+            n = 0
+
+            def on_frame(self, **_):
+                self.n += 1
+
+        hooks = Collected()
+        ahead = []
+
+        def reader():
+            for pulled, frame in enumerate(frames, 1):
+                ahead.append(pulled - hooks.n)
+                yield frame
+
+        result = BatchEngine(OPTIMIZED, workers=1, queue_depth=queue_depth,
+                             hooks=hooks).run(reader())
+        assert result.n_frames == hooks.n == len(frames)
+        assert max(ahead) == queue_depth + 1
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValidationError, match="empty"):

@@ -39,6 +39,20 @@ def _owned_arrays(obj, seen=None):
     return []
 
 
+def _u8(planes):
+    return [np.rint(p).astype(np.uint8) for p in planes]
+
+
+def _poison(dtype):
+    """A value no clean frame leaves behind: NaN in a float plane, the
+    largest value in an integer one (the ``int16`` pEdge plane)."""
+    if dtype == bool:
+        return True
+    if dtype.kind in "iu":
+        return np.iinfo(dtype).max
+    return np.nan
+
+
 class TestWorkspace:
     def test_shape_validation(self):
         for h, w in ((13, 16), (16, 13), (8, 16), (16, 8)):
@@ -119,15 +133,25 @@ class TestPoolHygiene:
         # arenas, poisoned with the workspace.
         monkeypatch.setattr(strips, "strip_rows", lambda h, w: 3)
         monkeypatch.setattr(strips, "STRIP_LANES", strips.StripLanes(3))
-        frames = [Image.from_array(f)
-                  for f in images.video_sequence(32, 32, 3, seed=5)]
-        ref = [GPUPipeline(OPTIMIZED, caching=False).run(f).final
-               for f in frames]
+        planes = images.video_sequence(32, 32, 3, seed=5)
+        # Float frames read the float64 pEdge plane; 8-bit frames the
+        # int16 one, and 8-bit outputs a uint8 plane.
+        for frames, out_dtype in [(planes, np.float64),
+                                  (_u8(planes), np.float64),
+                                  (_u8(planes), np.uint8)]:
+            self._check_poisoned([Image.from_array(f) for f in frames],
+                                 out_dtype)
+
+    @staticmethod
+    def _check_poisoned(frames, out_dtype):
+        ref = [GPUPipeline(OPTIMIZED, caching=False).run(
+            f, out_dtype=out_dtype).final for f in frames]
 
         poisoned = GPUPipeline(OPTIMIZED)
-        poisoned.run(frames[0])  # plan miss: dry-run capture; its replay
-        #                          builds and parks the workspace
-        poisoned.run(frames[0])  # hit: reuses and parks it again
+        # The plan miss captures by dry run, and its replay builds and
+        # parks the workspace; the hit reuses and parks it again.
+        poisoned.run(frames[0], out_dtype=out_dtype)
+        poisoned.run(frames[0], out_dtype=out_dtype)
         (ws,) = poisoned.buffer_pool._idle[(32, 32)]
         assert ws.strip == 3 and strips.STRIP_LANES.arenas == 3
         arrays = _owned_arrays(ws)
@@ -135,9 +159,11 @@ class TestPoolHygiene:
         arenas = _owned_arrays(strips.STRIP_LANES._free)
         assert len(arenas) == 3
         for a in arrays + arenas:
-            a[...] = True if a.dtype == bool else np.nan
+            a[...] = _poison(a.dtype)
         for f, expected in zip(frames, ref):
-            assert np.array_equal(poisoned.run(f).final, expected)
+            got = poisoned.run(f, out_dtype=out_dtype).final
+            assert got.dtype == out_dtype
+            assert np.array_equal(got, expected)
 
     def test_pool_steady_state_allocates_no_workspaces(self):
         frames = images.video_sequence(32, 32, 6, seed=5)
@@ -161,7 +187,7 @@ class TestPoolGauges:
         out."""
         obs = RunContext.create("pool-gauges", log_level="warning",
                                 log_stream=io.StringIO())
-        cache, pool = PlanCache(), BufferPool(obs=obs)
+        cache, pool = PlanCache(), BufferPool()
         frame = images.video_sequence(32, 32, 1, seed=5)[0]
         GPUPipeline(OPTIMIZED, obs=obs, plan_cache=cache,
                     buffer_pool=pool).run(frame)  # capture the plan

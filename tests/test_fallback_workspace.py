@@ -1,10 +1,12 @@
-"""The CPU fallback leases its workspace from the GPU pipeline's pool.
+"""Every strip frame leases its workspace from a BufferPool.
 
 A :class:`~repro.resilience.FallbackPipeline` builds its CPU understudy
 over the protected pipeline's :class:`~repro.core.bufferpool.BufferPool`,
 so once the breaker is open a warm frame allocates no workspace: it
 leases one the pool already holds, as a replayed GPU frame does.  A
-standalone :class:`~repro.cpu.CPUPipeline` keeps building one per frame.
+standalone :class:`~repro.cpu.CPUPipeline` owns a pool of its own.  The
+simulated device ``oom`` site belongs to the GPU replay, not to the pool,
+so a CPU frame never passes it.
 """
 
 import io
@@ -96,35 +98,41 @@ def test_degraded_workers_beyond_the_cores_never_share_a_workspace():
 def test_understudy_shares_the_gpu_pipeline_pool():
     gpu = GPUPipeline(OPTIMIZED)
     assert FallbackPipeline(gpu).cpu.buffer_pool is gpu.buffer_pool
-    # An uncached pipeline has no pool: its understudy builds its own.
+    # An uncached pipeline has no pool: its understudy owns one.
     uncached = GPUPipeline(OPTIMIZED, caching=False)
-    assert FallbackPipeline(uncached).cpu.buffer_pool is None
+    assert uncached.buffer_pool is None
+    assert isinstance(FallbackPipeline(uncached).cpu.buffer_pool, BufferPool)
 
 
-def test_a_standalone_cpu_pipeline_builds_a_workspace_per_frame():
-    frame = _frames(1)[0]
+def test_a_standalone_cpu_pipeline_leases_one_workspace():
+    frames = _frames(5)
     pipe = CPUPipeline()
-    assert pipe.buffer_pool is None
-    first, second = pipe.run(frame), pipe.run(frame)
-    # Each frame's output plane belongs to a workspace of its own.
-    assert not np.shares_memory(first.final, second.final)
-    assert np.array_equal(first.final, second.final)
+    results = [pipe.run(frame) for frame in frames]
+    assert pipe.buffer_pool.stats()["created"] == 1
+    assert pipe.buffer_pool.stats()["in_use"] == 0
+    # Held results keep their planes: the lease hands a plane out again
+    # only once its caller has dropped it.
+    for i, (result, frame) in enumerate(zip(results, frames)):
+        assert np.array_equal(result.final, _expected(frame, np.float64))
+        for other in results[i + 1:]:
+            assert not np.shares_memory(result.final, other.final)
 
 
 def test_a_host_lease_skips_the_device_oom_site():
-    # Every device allocation fails: the GPU path cannot lease, and the
-    # understudy's host lease must not fail with it.
+    # Every device allocation fails: the GPU replay cannot lease, and the
+    # understudy's lease from the same pool must not fail with it.
     obs = _obs("oom:rate=1.0,kind=permanent")
-    pool = BufferPool(obs=obs)
-    with pytest.raises(DeviceOOMError):
-        pool.checkout(*SHAPE)
+    gpu = GPUPipeline(OPTIMIZED, obs=obs)
     frame = _frames(1)[0]
-    pipe = FallbackPipeline(GPUPipeline(OPTIMIZED, obs=obs, buffer_pool=pool),
-                            obs=obs)
+    with pytest.raises(DeviceOOMError):
+        gpu.run(frame)
+    assert gpu.buffer_pool.stats()["created"] == 0
+    pipe = FallbackPipeline(gpu, obs=obs)
     for dtype in DTYPES:
         result = pipe.run(frame, out_dtype=dtype)
         assert result.backend == "cpu-fallback"
+        assert result.final.dtype == dtype
         assert np.array_equal(result.final, _expected(frame, dtype))
-    stats = pool.stats()
+    stats = gpu.buffer_pool.stats()
     assert stats["created"] == 1
     assert stats["in_use"] == 0

@@ -221,5 +221,5 @@ class TestRefcountCalibration:
         held = ws.output(np.uint8)
         assert ws.output(np.uint8) is not held
         assert ws.output(np.float64) is plane()
-        assert ws.nbytes == (ws.down.nbytes + ws.edge_store.nbytes
+        assert ws.nbytes == (ws.down.nbytes + ws.edge.nbytes
                              + 16 * 16 * 9)

@@ -11,6 +11,7 @@ from repro.types import (
     StageTimes,
     validate_plane,
 )
+from repro.util.io import quantize_u8
 
 
 class TestValidatePlane:
@@ -103,6 +104,17 @@ class TestImage:
         u8 = img.to_u8()
         assert u8.dtype == np.uint8
         assert int(u8[0, 0]) == 101
+
+    def test_to_u8_rounds_as_quantize_u8(self):
+        ties = [0.5, 1.5, 2.5, 127.5, 254.4, 254.5, 255.0]
+        tie_plane = np.resize(np.array(ties), (16, 16))
+        random_plane = np.random.default_rng(3).uniform(0, 255, (16, 24))
+        for plane in (tie_plane, random_plane):
+            u8 = Image.from_array(plane).to_u8()
+            assert u8.dtype == np.uint8
+            assert u8.tobytes() == quantize_u8(plane).tobytes()
+        assert list(Image.from_array(tie_plane).to_u8()[0, :7]) == [
+            0, 2, 2, 128, 254, 254, 255]
 
     def test_invalid_raises(self):
         with pytest.raises(ValidationError):
