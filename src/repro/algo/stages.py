@@ -12,8 +12,17 @@ strip boundaries cannot change a bit.  Whole-frame functions validate
 their inputs and never mutate them; ``out=`` must have the result's shape,
 and scratch arrays are used up to the size needed.
 
+The row-range forms are pitch-linear: rows ``[r0, r1)`` of a ``W``-wide
+plane are ``n = r1 - r0`` full-width rows, C-contiguous, so each
+elementwise step is one 1-D call over ``n * W`` elements and each
+stencil neighbour is a fixed flat offset (``+-1`` across, ``+-W`` down).
+A neighbour that wraps from one row's end to the next row's start lands
+only in border columns (0 and 1, W-2 and W-1), whose values each form
+overwrites or leaves documented as junk; :func:`_flat` makes every flat
+view and raises rather than return a copy.
+
 The stages that read only the original (:func:`downscale`,
-:func:`sobel_rows`, :func:`minmax3x3`, :func:`perror`) branch on its
+:func:`sobel_rows`, :func:`minmax3x3_rows`, :func:`perror`) branch on its
 dtype: a ``uint8`` frame is read as is and summed in a narrow integer
 type that holds every partial sum exactly (``uint16`` for the 4x4 block
 sums, ``int16`` for the Sobel terms), and the exact integer result is
@@ -22,9 +31,9 @@ computed in float64, where the same sums of small integers are exact
 too, so both branches produce the same bits.  The same holds one stage
 further on: the strip executor sums each strip of an integer pEdge
 exactly in ``int64`` (:func:`reduce_sum`), and gathers its strength from
-:func:`strength_table` (:func:`strength_lookup`).  Narrow scratch
-may be a view over the leading bytes of the caller's float64 scratch
-(:func:`_scratch`).
+:func:`strength_table` (:func:`strength_lookup`).  Scratch, narrow or
+not, is a view over the leading bytes of the caller's C-contiguous
+float64 scratch (:func:`_scratch`).
 """
 
 from __future__ import annotations
@@ -102,22 +111,27 @@ def _check_plane(src: np.ndarray, name: str = "src") -> np.ndarray:
     return arr
 
 
+def _flat(arr: np.ndarray) -> np.ndarray:
+    """The 1-D view of the C-contiguous ``arr``.  Any other array raises:
+    ``reshape`` would return a copy, and writes into it would be lost."""
+    if not arr.flags.c_contiguous:
+        raise ValidationError("a flat view needs a C-contiguous array")
+    return arr.reshape(-1)
+
+
 def _scratch(buf: np.ndarray | None, shape: tuple[int, ...],
              dtype=FLOAT) -> np.ndarray:
-    """The leading ``shape`` part of scratch ``buf``, or a new array.
-
-    A ``dtype`` other than ``buf``'s is a view over the leading bytes of
-    the C-contiguous ``buf``, so one float64 scratch array also serves the
-    narrow integer stages.
-    """
+    """A ``shape`` array of ``dtype`` over the leading bytes of the
+    C-contiguous scratch ``buf`` (:func:`_flat`), or a new array.  One
+    float64 scratch array thus also serves the narrow integer stages."""
     if buf is None:
         return np.empty(shape, dtype=dtype)
-    if buf.dtype == dtype:
-        return buf[tuple(map(slice, shape))]
-    if not buf.flags.c_contiguous:
-        raise ValidationError("narrow scratch needs a C-contiguous buffer")
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    return buf.reshape(-1).view(np.uint8)[:nbytes].view(dtype).reshape(shape)
+    raw = _flat(buf).view(np.uint8)
+    if raw.size < nbytes:
+        raise ValidationError(
+            f"scratch of {raw.size} bytes is short of {nbytes}")
+    return raw[:nbytes].view(dtype).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +205,21 @@ def upscale_border_line(line: np.ndarray, out_len: int) -> np.ndarray:
 def upscale_body_rows(down: np.ndarray, out: np.ndarray, r0: int, r1: int,
                       *, rows: np.ndarray | None = None,
                       taps: np.ndarray | None = None) -> None:
-    """Write the body columns (``2 .. W-3``) of upscaled rows ``[r0, r1)``
-    into ``out``: ``out[i, j]`` is ``up[r0 + i, 2 + j]``, for the rows
-    that lie in the body (``2 .. H-3``); ``out`` is ``(r1 - r0, W - 4)``.
+    """Write upscaled rows ``[r0, r1)`` that lie in the body (``2 ..
+    H-3``) into ``out``, their ``(r1 - r0, W)`` full-width rows (row ``i``
+    is ``up[r0 + i]``; C-contiguous): the body columns ``2 .. W-3`` hold
+    ``up``, the border columns 0, 1, W-2 and W-1 of those rows junk.
 
     Body row ``b`` blends ``down[b // 4]`` and ``down[b // 4 + 1]`` with
     the weights of phase ``b % 4`` into ``rows`` (``(n, W/4)`` scratch);
-    then ``[b, 4q + k]`` is ``wl * rows[b, q] + wr * rows[b, q + 1]``.
-    The products go to contiguous arrays carved from ``taps`` (flat
-    scratch of ``2 * n * W/4`` elements), so no step allocates and NumPy
-    buffers at most one strided operand per call.
+    then ``[b, 2 + 4q + k]`` is ``wl * rows[b, q] + wr * rows[b, q + 1]``.
+    Over the flat rows that is ``qa[j] + qb[j + 1]`` at flat ``2 + k +
+    4j``, with ``qa``, ``qb`` the products of all of ``rows`` with ``wl``
+    and ``wr``; the ``j`` that pair one row's last sample with the next
+    row's first land in the border columns.  Phases 0 and 3 use the same
+    two weights swapped, and so do phases 1 and 2, so the horizontal step
+    makes four products, two at a time in ``taps`` (flat scratch of ``2 *
+    n * W/4`` elements), and no step allocates.
     """
     h, wd = SCALE * down.shape[0], down.shape[1]
     y0, y1 = max(r0, 2), min(r1, h - 2)
@@ -220,14 +239,15 @@ def upscale_body_rows(down: np.ndarray, out: np.ndarray, r0: int, r1: int,
         np.multiply(down[i0:i0 + c], wl, out=left)
         np.multiply(down[i0 + 1:i0 + 1 + c], wr, out=right)
         np.add(left, right, out=rows[bk - b0::SCALE])
-    body = out[y0 - r0:y1 - r0]
-    ra, rb = rows[:, :-1], rows[:, 1:]
-    ta, tb = taps[:2 * n * (wd - 1)].reshape(2, n, wd - 1)
-    for k in range(SCALE):
+    m = n * wd
+    flat, body = _flat(rows), _flat(out[y0 - r0:y1 - r0])
+    qa, qb = taps.reshape(2, m)
+    for k in (0, 1):  # phase 3 has phase 0's weights swapped, 2 has 1's
         wl, wr = UPSCALE_P[k]
-        np.multiply(ra, wl, out=ta)
-        np.multiply(rb, wr, out=tb)
-        np.add(ta, tb, out=body[:, k::SCALE])
+        np.multiply(flat, wl, out=qa)
+        np.multiply(flat, wr, out=qb)
+        np.add(qa[:-1], qb[1:], out=body[2 + k::SCALE][:m - 1])
+        np.add(qb[:-1], qa[1:], out=body[5 - k::SCALE][:m - 1])
 
 
 def upscale_body(down: np.ndarray,
@@ -237,7 +257,9 @@ def upscale_body(down: np.ndarray,
     Every 2x2 block of ``down`` (stride 1) produces the 4x4 block
     ``P @ D2x2 @ P.T`` of the output (stride 4).  The returned array has
     shape ``(H - 4, W - 4)`` and belongs at ``up[2:H-2, 2:W-2]`` — it is
-    that view of ``up`` when the ``(H, W)`` plane is given.
+    that view of ``up`` when the C-contiguous ``(H, W)`` plane is given,
+    whose border columns in rows ``2 .. H-3`` are then left as junk
+    (:func:`upscale_border_apply` overwrites them).
 
     The computation is separable (:func:`upscale_body_rows`), which is
     algebraically identical to the ``P @ D @ P.T`` form.
@@ -250,7 +272,7 @@ def upscale_body(down: np.ndarray,
     h, w = SCALE * d.shape[0], SCALE * d.shape[1]
     if up is None:
         up = np.empty((h, w), dtype=FLOAT)
-    upscale_body_rows(d, up[:, 2:w - 2], 0, h)
+    upscale_body_rows(d, up, 0, h)
     return up[2:h - 2, 2:w - 2]
 
 
@@ -315,19 +337,20 @@ def upscale_interior_rows(down: np.ndarray,
                           rows: np.ndarray | None = None,
                           taps: np.ndarray | None = None) -> np.ndarray:
     """Upscaled interior rows ``[r0, r1)`` (``1 <= r0 < r1 <= H - 1``),
-    interior columns ``1 .. W-2``, into the ``(r1 - r0, W - 2)`` ``out``:
+    every column, into their ``(r1 - r0, W)`` full-width rows ``out``:
     the body from :func:`upscale_body_rows` (scratch ``rows``/``taps``),
-    the cells of rows 1 and H-2 and columns 1 and W-2 from ``ring``
-    (:func:`upscale_border_ring`).  Returns ``out``."""
+    then rows 1 and H-2 and columns 0, 1, W-2 and W-1 from ``ring``
+    (:func:`upscale_border_ring`), over the body's junk.  Returns
+    ``out``."""
     top_bottom, sides = ring
-    h, wi = SCALE * down.shape[0], out.shape[1]
-    upscale_body_rows(down, out[:, 1:wi - 1], r0, r1, rows=rows, taps=taps)
+    h = SCALE * down.shape[0]
+    upscale_body_rows(down, out, r0, r1, rows=rows, taps=taps)
     if r0 == 1:
-        out[0, 1:wi - 1] = top_bottom[1, 2:wi]
+        out[0] = top_bottom[1]
     if r1 == h - 1:
-        out[-1, 1:wi - 1] = top_bottom[2, 2:wi]
-    out[:, 0] = sides[r0:r1, 1]
-    out[:, wi - 1] = sides[r0:r1, 2]
+        out[-1] = top_bottom[2]
+    out[:, :2] = sides[r0:r1, :2]
+    out[:, -2:] = sides[r0:r1, 2:]
     return out
 
 
@@ -346,14 +369,19 @@ def upscale(down: np.ndarray) -> np.ndarray:
 
 def perror(src: np.ndarray, upscaled: np.ndarray,
            out: np.ndarray | None = None) -> np.ndarray:
-    """Difference matrix ``pError = original - upscaled``; a ``uint8``
-    original is subtracted as is."""
+    """Difference matrix ``pError = original - upscaled``.  A ``uint8``
+    original given an ``out`` (which must not overlap ``upscaled``) is
+    first copied into it: a contiguous cast and a same-type subtract take
+    two thirds of the time of one mixed-type subtract, with its bits."""
     a = _as_original(src)
     b = np.asarray(upscaled, dtype=FLOAT)
     if a.shape != b.shape:
         raise ValidationError(
             f"shape mismatch: original {a.shape} vs upscaled {b.shape}"
         )
+    if out is not None and a.dtype == np.uint8:
+        np.copyto(out, a)
+        a = out
     return np.subtract(a, b, out=out)
 
 
@@ -368,12 +396,17 @@ def sobel_rows(src: np.ndarray, edge: np.ndarray, r0: int, r1: int, *,
                gx: np.ndarray | None = None,
                gy: np.ndarray | None = None) -> None:
     """Sobel magnitude of interior rows ``[r0, r1)`` (``1 <= r0 < r1 <=
-    H - 1``) into ``edge[r0:r1, 1:W-1]``.
+    H - 1``) into ``edge[r0:r1]``, with columns 0 and W-1 zero; ``src``
+    and ``edge`` are C-contiguous ``(H, W)`` planes.
 
     Separable, in the association order of the 3x3 masks:
-    ``gx = (ne + 2*e + se) - (nw + 2*w + sw)`` from column sums (``tcol``:
-    ``(n, W)`` scratch), ``gy = (sw + 2*s + se) - (nw + 2*n + ne)`` from
-    row sums (``urow``: ``(n + 2, W - 2)``; ``gx``, ``gy``: ``(n, W - 2)``).
+    ``gx = (ne + 2*e + se) - (nw + 2*w + sw)`` from the column sums of the
+    rows' flat pixels (``tcol``: scratch of ``n * W`` elements), ``gy =
+    (sw + 2*s + se) - (nw + 2*n + ne)`` from the row sums of the flat
+    halo rows ``r0 - 1 .. r1`` (``urow``: ``(n + 2) * W``; ``gx``, ``gy``:
+    ``n * W``).  Flat pixel ``p`` of the rows gets ``|gx| + |gy|`` from
+    offsets ``p +- 1`` and ``p +- W``; the ones in columns 0 and W-1 wrap
+    across a row end and are zeroed again after the add.
 
     A ``uint8`` ``src`` runs in ``int16`` scratch (``|Gx| + |Gy|`` is at
     most :data:`EDGE_MAX_U8`); the last add writes ``edge``, an ``int16``
@@ -381,27 +414,30 @@ def sobel_rows(src: np.ndarray, edge: np.ndarray, r0: int, r1: int, *,
     """
     w = src.shape[1]
     n = r1 - r0
+    m = n * w
     acc = np.int16 if src.dtype == np.uint8 else FLOAT
-    tc = _scratch(tcol, (n, w), acc)
-    np.multiply(src[r0:r1], 2, out=tc, dtype=acc)
-    np.add(src[r0 - 1:r1 - 1], tc, out=tc)
-    np.add(tc, src[r0 + 1:r1 + 1], out=tc)
-    dx = np.subtract(tc[:, 2:], tc[:, :-2],
-                     out=_scratch(gx, (n, w - 2), acc))
-    halo = src[r0 - 1:r1 + 1]
-    ur = _scratch(urow, (n + 2, w - 2), acc)
-    np.multiply(halo[:, 1:w - 1], 2, out=ur, dtype=acc)
-    np.add(halo[:, 0:w - 2], ur, out=ur)
-    np.add(ur, halo[:, 2:w], out=ur)
-    dy = np.subtract(ur[2:], ur[:-2], out=_scratch(gy, (n, w - 2), acc))
+    halo = _flat(src[r0 - 1:r1 + 1])
+    tc = _scratch(tcol, (m,), acc)
+    np.multiply(halo[w:w + m], 2, out=tc, dtype=acc)
+    np.add(halo[:m], tc, out=tc)
+    np.add(tc, halo[2 * w:], out=tc)
+    dx = np.subtract(tc[2:], tc[:-2], out=_scratch(gx, (m - 2,), acc))
+    ur = _scratch(urow, (m + 2 * w - 2,), acc)
+    np.multiply(halo[1:-1], 2, out=ur, dtype=acc)
+    np.add(halo[:-2], ur, out=ur)
+    np.add(ur, halo[2:], out=ur)
+    dy = np.subtract(ur[2 * w:], ur[:m - 2], out=_scratch(gy, (m - 2,), acc))
     np.abs(dx, out=dx)
     np.abs(dy, out=dy)
-    np.add(dx, dy, out=edge[r0:r1, 1:w - 1])
+    rows = edge[r0:r1]
+    np.add(dx, dy, out=_flat(rows)[1:m - 1])
+    rows[:, 0] = 0
+    rows[:, w - 1] = 0
 
 
 def sobel(src: np.ndarray) -> np.ndarray:
     """Sobel edge magnitude ``|Gx| + |Gy|`` with a zero border (Fig. 6/7)."""
-    arr = _check_plane(src)
+    arr = np.ascontiguousarray(_check_plane(src))
     h, w = arr.shape
     out = np.zeros((h, w), dtype=FLOAT)
     if arr.size:
@@ -558,33 +594,49 @@ def preliminary_sharpen(
 # ---------------------------------------------------------------------------
 
 
-def minmax3x3(src: np.ndarray, r0: int = 1, r1: int | None = None, *,
-              mn: np.ndarray | None = None, mx: np.ndarray | None = None,
-              mnc: np.ndarray | None = None,
-              mxc: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 min and max around interior rows ``[r0, r1)`` (default: the
-    whole body), interior columns: two ``(r1 - r0, W - 2)`` arrays.
+def minmax3x3_rows(src: np.ndarray, r0: int, r1: int, *,
+                   mn: np.ndarray | None = None,
+                   mx: np.ndarray | None = None,
+                   ext: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 min and max around interior rows ``[r0, r1)`` of the
+    C-contiguous ``src``: two ``(n, W)`` full-width row arrays whose
+    columns ``1 .. W-2`` hold the extrema; columns 0 and W-1 hold junk
+    (values of ``src``'s neighbourhood across a row end).
 
-    Separable: the min/max of three columns for rows ``r0 - 1`` to ``r1``
-    (scratch ``mnc``/``mxc``, ``(n + 2, W - 2)``), then of three rows.
-    The extrema keep ``src``'s dtype, so those of a ``uint8`` frame are
-    ``uint8``.
+    Separable: the min/max of flat neighbours ``p - 1``, ``p``, ``p + 1``
+    over the halo rows ``r0 - 1 .. r1`` (scratch ``ext``, ``(n + 2) *
+    W`` elements, shared by both passes), then of the results ``W``
+    apart.  The extrema keep ``src``'s dtype, so those of a ``uint8``
+    frame are ``uint8``.
     """
-    h, w = src.shape
-    if r1 is None:
-        r1 = h - 1
+    w = src.shape[1]
     n = r1 - r0
+    m = n * w
     dt = src.dtype
-    halo = src[r0 - 1:r1 + 1]
-    cols = (halo[:, 0:w - 2], halo[:, 1:w - 1], halo[:, 2:w])
-    lo, hi = _scratch(mn, (n, w - 2), dt), _scratch(mx, (n, w - 2), dt)
-    for op, across, res in ((np.minimum, mnc, lo), (np.maximum, mxc, hi)):
-        t = op(cols[0], cols[1], out=_scratch(across, (n + 2, w - 2), dt))
-        op(t, cols[2], out=t)
-        op(t[0:n], t[1:n + 1], out=res)
-        op(res, t[2:n + 2], out=res)
+    halo = _flat(src[r0 - 1:r1 + 1])
+    lo, hi = _scratch(mn, (n, w), dt), _scratch(mx, (n, w), dt)
+    for op, res in ((np.minimum, lo), (np.maximum, hi)):
+        t = op(halo[:-2], halo[1:-1], out=_scratch(ext, (m + 2 * w - 2,), dt))
+        op(t, halo[2:], out=t)
+        flat = _flat(res)
+        body = flat[1:m - 1]
+        op(t[:m - 2], t[w:w + m - 2], out=body)
+        op(body, t[2 * w:], out=body)
+        # Flat pixels 0 and m - 1 (border columns) get no extrema above;
+        # a neighbour's keeps them finite.
+        flat[0], flat[m - 1] = flat[1], flat[m - 2]
     return lo, hi
+
+
+def minmax3x3(src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 min and max around every interior pixel: two ``(H - 2, W -
+    2)`` arrays, the interior columns of :func:`minmax3x3_rows` over
+    every interior row."""
+    arr = np.ascontiguousarray(src)
+    h, w = arr.shape
+    lo, hi = minmax3x3_rows(arr, 1, h - 1)
+    return lo[:, 1:w - 1], hi[:, 1:w - 1]
 
 
 def clip_border(top: np.ndarray, bottom: np.ndarray, left: np.ndarray,
@@ -607,36 +659,37 @@ def overshoot_rows(prelim: np.ndarray, mn: np.ndarray, mx: np.ndarray,
                    overshoot: float, final: np.ndarray, r0: int, *,
                    over: np.ndarray | None = None,
                    under: np.ndarray | None = None) -> None:
-    """Overshoot control of interior rows ``[r0, r0 + n)`` into
-    ``final[r0:r0+n, 1:W-1]`` of the ``(H, W)`` plane ``final``, a float64
-    or ``uint8`` one.
+    """Overshoot control of interior rows ``[r0, r0 + n)`` into the whole
+    rows ``final[r0:r0+n]`` of the ``(H, W)`` plane ``final``, a float64
+    or ``uint8`` one; what lands in their columns 0 and W-1 is junk, for
+    :func:`clip_border` to overwrite.
 
-    ``prelim``, ``mn`` and ``mx`` are the rows' ``(n, W - 2)`` preliminary
-    values and 3x3 extrema (:func:`minmax3x3`); ``prelim`` must be
-    C-contiguous and is used up as scratch.  ``over``/``under`` are
-    boolean scratch.  The overshooting pixels (typically 10-20%) are
-    found in the unclipped ``prelim`` and gathered through flat indices,
-    which touch only them (a boolean mask walks every pixel); their blend
-    runs in place in the gathered values, so its temporaries are three
-    arrays per overshooting pixel.  ``prelim`` is then clipped to
-    [0, 255] in place, the blended values are scattered back, a ``uint8``
-    ``final``'s rows are rounded half to even in place (the rule of
-    :func:`~repro.util.io.quantize_u8`; every value is already in
-    [0, 255]), and the rows are stored into ``final`` at once.
+    ``prelim``, ``mn`` and ``mx`` are the rows' C-contiguous ``(n, W)``
+    full-width preliminary values and 3x3 extrema
+    (:func:`minmax3x3_rows`); ``prelim`` is used up as scratch.
+    ``over``/``under`` are boolean scratch.  The overshooting pixels
+    (typically 10-20%) are found in the unclipped ``prelim`` and gathered
+    through flat indices, which touch only them (a boolean mask walks
+    every pixel); their blend runs in place in the gathered values, so
+    its temporaries are three arrays per overshooting pixel.  ``prelim``
+    is then clipped to [0, 255] in place, the blended values are
+    scattered back, a ``uint8`` ``final``'s rows are rounded half to even
+    in place (the rule of :func:`~repro.util.io.quantize_u8`; every value
+    is already in [0, 255]), and the rows are stored into ``final`` in
+    one contiguous copy.
     """
-    n, wi = prelim.shape
-    w = final.shape[1]
-    if not prelim.flags.c_contiguous:
-        raise ValidationError("prelim must be C-contiguous")
+    n, w = prelim.shape
+    flat = _flat(prelim)
+    m = flat.size
     osc = FLOAT(overshoot)
-    hi = np.greater(prelim, mx, out=_scratch(over, (n, wi), bool))
-    lo = np.less(prelim, mn, out=_scratch(under, (n, wi), bool))
+    hi = np.greater(flat, _flat(mx), out=_scratch(over, (m,), bool))
+    lo = np.less(flat, _flat(mn), out=_scratch(under, (m,), bool))
     blended = []
     for is_over, mask, bound in ((True, hi, mx), (False, lo, mn)):
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             continue
-        vals, lv = np.take(prelim, idx), np.take(bound, idx)
+        vals, lv = np.take(flat, idx), np.take(bound, idx)
         if is_over:  # min(lv + osc * (pv - lv), 255)
             np.subtract(vals, lv, out=vals)
             np.multiply(vals, osc, out=vals)
@@ -649,13 +702,12 @@ def overshoot_rows(prelim: np.ndarray, mn: np.ndarray, mx: np.ndarray,
             np.maximum(vals, 0.0, out=vals)
         del lv  # before the next mask's gathers
         blended.append((idx, vals))
-    np.clip(prelim, 0.0, 255.0, out=prelim)
-    flat = prelim.reshape(-1)
+    np.clip(flat, 0.0, 255.0, out=flat)
     for idx, vals in blended:
         flat[idx] = vals
     if final.dtype == np.uint8:
-        np.rint(prelim, out=prelim)
-    final[r0:r0 + n, 1:w - 1] = prelim
+        np.rint(flat, out=flat)
+    final[r0:r0 + n] = prelim
 
 
 def overshoot_control(
@@ -678,10 +730,10 @@ def overshoot_control(
     h, w = p.shape
     final = np.empty((h, w), dtype=FLOAT)
     if p.size:
-        clip_border(p[0], p[h - 1], p[:, 0], p[:, w - 1], final)
-        mn, mx = minmax3x3(o)
-        body = np.ascontiguousarray(p[1:h - 1, 1:w - 1])
+        mn, mx = minmax3x3_rows(np.ascontiguousarray(o), 1, h - 1)
+        body = p[1:h - 1].copy()
         overshoot_rows(body, mn, mx, params.overshoot, final, 1)
+        clip_border(p[0], p[h - 1], p[:, 0], p[:, w - 1], final)
     return final
 
 

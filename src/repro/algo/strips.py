@@ -36,6 +36,16 @@ image exist one strip at a time.  The phases:
    ``uint8`` (a file sink's); then the output's border lines from the
    ring.
 
+Every strip array is pitch-linear: ``n`` full-width rows of pitch ``w``,
+so each stage runs one 1-D call per elementwise step over ``n * w``
+elements, and a stencil neighbour is a fixed flat offset (see
+:mod:`repro.algo.stages`).  What the wrapped neighbours leave in the
+border columns stays in the strip's own rows and is overwritten: pass 1
+zeroes pEdge's columns 0 and ``w - 1`` again, the upscaled rows take
+their columns 0, 1, ``w - 2`` and ``w - 1`` from the ring, and the
+output's border lines are written by
+:func:`~repro.algo.stages.clip_border` after pass 2.
+
 The output plane is the workspace's (:meth:`Workspace.output`): a warm
 frame whose previous output the caller has dropped writes into that
 plane again, so it touches no fresh page.
@@ -111,17 +121,19 @@ def _layout(n: int, w: int, u8: bool) -> dict[str, tuple]:
     """Where each scratch array of an ``n``-row strip of a ``w``-wide
     frame lives in a lane's arena: ``name -> (byte offset, shape, dtype)``.
 
-    The passes run one after another, so each starts at byte 0.  In pass
-    1, the downscale's column sums ``colsum`` share byte 0 with the
-    Sobel's ``tcol``: a strip's downscale is done before its Sobel
-    writes ``tcol``.  ``colsum`` holds ``ceil(n / 4)`` 4-row blocks, the
-    most an ``n``-row strip owns (see :func:`run`).  Pass 2 uses float64
-    slots ``P``, ``Q``, ``R`` of one ``(n, w - 2)`` strip each, reused as
-    arrays die:
+    Every array is pitch-linear: ``n`` (or ``n + 2``, with the halo rows)
+    full-width rows of pitch ``w``, so its flat view is one contiguous
+    run (see :mod:`repro.algo.stages`).  The passes run one after
+    another, so each starts at byte 0.  In pass 1, the downscale's column
+    sums ``colsum`` share byte 0 with the Sobel's ``tcol``: a strip's
+    downscale is done before its Sobel writes ``tcol``.  ``colsum`` holds
+    ``ceil(n / 4)`` 4-row blocks, the most an ``n``-row strip owns (see
+    :func:`run`).  Pass 2 uses float64 slots ``P``, ``Q``, ``R`` of one
+    ``(n, w)`` strip each, reused as arrays die:
 
     * ``P``: an 8-bit frame's pEdge indices, until the strength is
       gathered; then the upscaled rows ``ui``, until the preliminary image
-      is done; then the 3x3 extrema (``uint8``) and their column scratch
+      is done; then the 3x3 extrema (``uint8``) and their halo scratch
       ``ext``;
     * ``Q``: the strength; then the overshoot masks of an 8-bit frame;
     * ``R``: the upscale's ``rows``/``taps``; then pError, overwritten in
@@ -131,8 +143,8 @@ def _layout(n: int, w: int, u8: bool) -> dict[str, tuple]:
     ``Q``, and ``ext`` and the masks to a fourth slot ``T``, two rows
     taller.
     """
-    wd, wi = w // 4, w - 2
-    slot = 8 * n * wi
+    wd = w // 4
+    slot = 8 * n * w
     acc = np.int16 if u8 else FLOAT
     spec: dict[str, tuple] = {}
 
@@ -142,28 +154,28 @@ def _layout(n: int, w: int, u8: bool) -> dict[str, tuple]:
 
     put("colsum", 0, (4 * -(-n // 4), wd), np.uint16 if u8 else FLOAT)
     end = put("tcol", 0, (n, w), acc)
-    end = put("urow", end, (n + 2, wi), acc)
-    end = put("gx", end, (n, wi), acc)
-    put("gy", end, (n, wi), acc)
+    end = put("urow", end, (n + 2, w), acc)
+    end = put("gx", end, (n, w), acc)
+    put("gy", end, (n, w), acc)
     p, q, r, t = 0, slot, 2 * slot, 3 * slot
-    put("ui", p, (n, wi), FLOAT)
-    put("strength", q, (n, wi), FLOAT)
+    put("ui", p, (n, w), FLOAT)
+    put("strength", q, (n, w), FLOAT)
     put("rows", r, (n, wd), FLOAT)
     put("taps", r + 8 * n * wd, (2 * n * wd,), FLOAT)
-    put("err", r, (n, wi), FLOAT)
+    put("err", r, (n, w), FLOAT)
     if u8:
-        put("idx", p, (n, wi), np.intp)
-        end = put("ext", p, (n + 2, wi), np.uint8)
-        end = put("mn", end, (n, wi), np.uint8)
-        put("mx", end, (n, wi), np.uint8)
+        put("idx", p, (n, w), np.intp)
+        end = put("ext", p, (n + 2, w), np.uint8)
+        end = put("mn", end, (n, w), np.uint8)
+        put("mx", end, (n, w), np.uint8)
         masks = q
     else:
-        put("mn", p, (n, wi), FLOAT)
-        put("mx", q, (n, wi), FLOAT)
-        put("ext", t, (n + 2, wi), FLOAT)
+        put("mn", p, (n, w), FLOAT)
+        put("mx", q, (n, w), FLOAT)
+        put("ext", t, (n + 2, w), FLOAT)
         masks = t
-    end = put("over", masks, (n, wi), bool)
-    put("under", end, (n, wi), bool)
+    end = put("over", masks, (n, w), bool)
+    put("under", end, (n, w), bool)
     return spec
 
 
@@ -281,9 +293,10 @@ class Workspace:
         """Make the workspace frame-clean.
 
         The executor overwrites every cell it reads except the pEdge
-        planes' border rings (Sobel leaves the border zero by
-        construction), so only those rings need restoring; everything
-        else, the kept outputs included, is recycled dirty.
+        planes' border rings (Sobel never writes rows 0 and h-1, and
+        zeroes columns 0 and w-1 of its rows again after its flat
+        store), so only those rings need restoring; everything else, the
+        kept outputs included, is recycled dirty.
         """
         for edge in (self.edge, self.edge_float):
             if edge is not None:
@@ -456,12 +469,12 @@ def _first_strip(plane: np.ndarray, down: np.ndarray, edge: np.ndarray,
 def _sharpen_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
                    v: SimpleNamespace, tail: _Tail) -> None:
     """Pass 2 on interior rows ``[r0, r1)``: the fused sharpness tail and
-    overshoot control into ``final[r0:r1, 1:w-1]`` (interior columns: the
-    border is :func:`~repro.algo.stages.clip_border`'s).  The steps run in
-    the order that :func:`_layout`'s slot reuse relies on."""
-    w = ws.w
+    overshoot control into the whole rows ``final[r0:r1]``, each step on
+    the strip's full-width rows; what lands in the border columns is
+    :func:`~repro.algo.stages.clip_border`'s to overwrite.  The steps run
+    in the order that :func:`_layout`'s slot reuse relies on."""
     n = r1 - r0
-    edge = tail.edge[r0:r1, 1:w - 1]
+    edge = tail.edge[r0:r1]
     if tail.lut is None:
         strength = algo.strength_map(edge, tail.edge_mean, tail.params,
                                      out=v.strength[:n])
@@ -470,10 +483,9 @@ def _sharpen_strip(plane: np.ndarray, ws: Workspace, r0: int, r1: int,
                                         idx=v.idx[:n])
     ui = algo.upscale_interior_rows(ws.down, tail.ring, r0, r1, v.ui[:n],
                                     rows=v.rows, taps=v.taps)
-    err = algo.perror(plane[r0:r1, 1:w - 1], ui, out=v.err[:n])
+    err = algo.perror(plane[r0:r1], ui, out=v.err[:n])
     prelim = algo.preliminary_sharpen(ui, err, strength, out=err)
-    mn, mx = algo.minmax3x3(plane, r0, r1, mn=v.mn, mx=v.mx, mnc=v.ext,
-                            mxc=v.ext)
+    mn, mx = algo.minmax3x3_rows(plane, r0, r1, mn=v.mn, mx=v.mx, ext=v.ext)
     algo.overshoot_rows(prelim, mn, mx, tail.params.overshoot, tail.final,
                         r0, over=v.over, under=v.under)
 
@@ -543,8 +555,8 @@ def run(plane: np.ndarray, params: SharpnessParams, ws: Workspace,
         with lanes.frame():
             lanes.run(n_strips, first)
             marks.append(now())
-            # Nothing writes the pEdge border ring, and Workspace.reset()
-            # restores it, so it is zero.
+            # Workspace.reset() zeroed the pEdge border ring, and pass 1
+            # leaves it zero.
             if u8:
                 edge_mean = sum(sums) / (h * w)
             else:

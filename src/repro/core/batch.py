@@ -37,7 +37,6 @@ Throughput telemetry lands in the shared registry:
 from __future__ import annotations
 
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -437,7 +436,9 @@ class BatchEngine:
         obs = self.obs
         hooks = self.hooks
         result = BatchResult(workers=self.workers)
-        inflight = threading.BoundedSemaphore(self.queue_depth)
+        # Submitted and not yet collected: each entry holds one of the
+        # queue_depth backpressure slots until _collect absorbs its frame,
+        # dead-letters it or abandons it.
         pending: deque = deque()
 
         def _absorb(index: int, fid: str, res, attempts: int) -> None:
@@ -518,11 +519,15 @@ class BatchEngine:
                     wait((future,), timeout=_POLL_S)
 
         def _admit() -> bool:
-            """Acquire a backpressure slot, honoring lifecycle stops."""
+            """Wait for a backpressure slot, honoring lifecycle stops.
+
+            Only collecting frees a slot, so a full queue waits on its
+            oldest frame, the next one to be collected."""
             while hooks.admit():
-                if inflight.acquire(timeout=_POLL_S):
-                    return True
                 _collect(block=False)
+                if len(pending) < self.queue_depth:
+                    return True
+                wait((pending[0][2],), timeout=_POLL_S)
             result.interrupted = True
             return False
 
@@ -537,7 +542,6 @@ class BatchEngine:
                     fid = resolve_frame_id(frame_ids, index, frame)
                     future = pool.submit(self._process, index, frame, fid,
                                          run_span)
-                    future.add_done_callback(lambda _f: inflight.release())
                     pending.append((index, fid, future))
                     _collect(block=False)
                 _collect(block=True)

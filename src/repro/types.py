@@ -60,7 +60,8 @@ MIN_SIDE = 16
 
 
 def validate_plane(array: np.ndarray) -> np.ndarray:
-    """Validate an input brightness plane and return it as ``FLOAT``.
+    """Validate an input brightness plane and return it as a C-contiguous
+    ``FLOAT`` copy.
 
     Requirements (documented in DESIGN.md section 3):
 
@@ -72,7 +73,7 @@ def validate_plane(array: np.ndarray) -> np.ndarray:
     Raises :class:`~repro.errors.ValidationError` on violation.
     """
     arr = _check_shape(np.asarray(array))
-    out = arr.astype(FLOAT, copy=True)
+    out = arr.astype(FLOAT, order="C", copy=True)
     # Scans that cannot fail are skipped: integers hold no NaN, and every
     # uint8 value already lies in [0, 255].
     if arr.dtype == np.uint8:

@@ -188,26 +188,28 @@ class TestMinMax3x3U8:
         h, w = frame.shape
         ref_mn, ref_mx = algo.minmax3x3(frame.astype(np.float64))
         n = U8_STRIP
+        # Float64 scratch, viewed as uint8 full-width rows.
         scratch = dict(mn=dirty((n, w - 2)), mx=dirty((n, w - 2)),
-                       mnc=dirty((n + 2, w - 2)), mxc=dirty((n + 2, w - 2)))
+                       ext=dirty((n + 2, w - 2)))
         for r0, r1 in u8_row_ranges(h):
-            mn, mx = algo.minmax3x3(frame, r0, r1, **scratch)
+            mn, mx = algo.minmax3x3_rows(frame, r0, r1, **scratch)
             assert mn.dtype == mx.dtype == np.uint8
+            assert mn.shape == mx.shape == (r1 - r0, w)
             ctx = f"{name} rows [{r0}, {r1})"
-            assert_bytes_equal(mn.astype(np.float64),
+            assert_bytes_equal(mn[:, 1:w - 1].astype(np.float64),
                                ref_mn[r0 - 1:r1 - 1], context=ctx)
-            assert_bytes_equal(mx.astype(np.float64),
+            assert_bytes_equal(mx[:, 1:w - 1].astype(np.float64),
                                ref_mx[r0 - 1:r1 - 1], context=ctx)
 
     @pytest.mark.parametrize("name", U8_FRAMES)
     def test_overshoot_blend_matches_float(self, name, params):
         frame = u8_frame(name)
         h, w = frame.shape
-        prelim = np.random.default_rng(2).uniform(-60, 320, (h - 2, w - 2))
+        prelim = np.random.default_rng(2).uniform(-60, 320, (h - 2, w))
         outs = []
         for src in (frame, frame.astype(np.float64)):
             final = np.zeros((h, w))
-            mn, mx = algo.minmax3x3(src)
+            mn, mx = algo.minmax3x3_rows(src, 1, h - 1)
             algo.overshoot_rows(prelim.copy(), mn, mx, params.overshoot,
                                 final, 1)
             outs.append(final)

@@ -20,9 +20,13 @@ from repro.algo import stages as algo
 from repro.algo import strips
 from repro.core import OPTIMIZED
 from repro.core.plan import _reduction_levels
+from repro.errors import ValidationError
 from repro.obs.runctx import NULL_CONTEXT
 from repro.types import SharpnessParams
 from repro.util import images
+from repro.util.io import quantize_u8
+
+from .test_calibration import _DRY_SHAPES
 
 
 def _run(frame, params, levels):
@@ -131,6 +135,109 @@ def test_pass1_strips_downscale_every_block_once(monkeypatch, shape, rows):
         assert np.array_equal(ws.down, ref["downscaled"])
         assert np.array_equal(final, ref["final"])
         assert mean == ref["edge_mean"]
+
+
+#: The strip heights the executor tests patch in.
+_STRIP_HEIGHTS = [1, 2, 3, 4, 5, 7, 9, 64]
+
+#: The calibration shapes, plus one whose 18 interior rows leave a ragged
+#: last strip at most of the heights above.
+_JUNK_SHAPES = [shape for shape, _ in _DRY_SHAPES] + [(20, 36)]
+
+_REFS: dict = {}
+
+
+def _reference(shape):
+    """``(frame, algo.sharpen of it)``, made once per shape."""
+    if shape not in _REFS:
+        frame = _natural(shape)
+        _REFS[shape] = frame, algo.sharpen(frame)
+    return _REFS[shape]
+
+
+class _RowGuard(strips.StripLanes):
+    """One lane that runs each pass's strips in order and asserts that a
+    strip leaves the two rows on either side of it unchanged in the pEdge
+    and output planes, and that pass 1 leaves pEdge's border ring zero."""
+
+    BAND = 2
+
+    def __init__(self, ws, u8):
+        super().__init__(1)
+        self.ws, self.u8 = ws, u8
+        self.passes = 0
+
+    def run(self, n, fn):
+        ws = self.ws
+        edge = ws.edge_plane(self.u8)
+
+        def guarded(j, scratch):
+            r0 = 1 + j * ws.strip
+            r1 = min(r0 + ws.strip, ws.h - 1)
+            rows = np.r_[max(0, r0 - self.BAND):r0,
+                         r1:min(ws.h, r1 + self.BAND)]
+            planes = [edge] + ws.outputs
+            before = [plane[rows].copy() for plane in planes]
+            fn(j, scratch)
+            for plane, kept in zip(planes, before):
+                assert plane[rows].tobytes() == kept.tobytes(), (j, r0, r1)
+
+        super().run(n, guarded)
+        self.passes += 1
+        if self.passes == 1:
+            assert not edge[[0, -1]].any() and not edge[:, [0, -1]].any()
+
+
+@pytest.mark.parametrize("shape", _JUNK_SHAPES, ids=str)
+@pytest.mark.parametrize("rows", _STRIP_HEIGHTS)
+def test_border_junk_stays_in_the_border(monkeypatch, shape, rows):
+    # Pitch-linear strips write wrapped stencil values into the border
+    # columns of their own rows, which later steps overwrite: pEdge's
+    # ring ends zero, a poisoned output plane ends as algo.sharpen's, and
+    # no strip writes a row outside it.
+    monkeypatch.setattr(strips, "strip_rows",
+                        lambda h, w: max(1, min(h - 2, rows)))
+    frame, ref = _reference(shape)
+    rng = np.random.default_rng(rows)
+    for plane, out_dtype in itertools.product(
+            (frame, frame.astype(np.float64)), (np.float64, np.uint8)):
+        u8 = plane.dtype == np.uint8
+        ws = strips.Workspace(*shape)
+        ws.edge_plane(u8)[1:-1, 1:-1] = -7777
+        ws.down[...] = np.nan
+        out = ws.output(out_dtype)
+        if out_dtype is np.uint8:
+            out[...] = rng.integers(0, 256, shape, dtype=np.uint8)
+        else:
+            out[...] = -1234.5
+        poisoned = out.ctypes.data
+        del out
+        guard = _RowGuard(ws, u8)
+        monkeypatch.setattr(strips, "STRIP_LANES", guard)
+        final, mean = strips.run(plane, SharpnessParams(), ws, (),
+                                 NULL_CONTEXT.trace, out_dtype=out_dtype)
+        assert guard.passes == 2
+        assert final.ctypes.data == poisoned
+        want = (ref["final"] if out_dtype is np.float64
+                else quantize_u8(ref["final"]))
+        assert np.array_equal(final, want)
+        assert mean == ref["edge_mean"]
+        assert np.array_equal(ws.edge_plane(u8), ref["p_edge"])
+
+
+def test_flat_views_refuse_a_copy():
+    # reshape(-1) of a non-contiguous view copies, and writes into the
+    # copy would be lost: every flat view of a stage raises instead.
+    frame = _natural((36, 64))
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        algo.sobel_rows(frame[:, ::-1], np.zeros((36, 64)), 1, 35)
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        algo.sobel_rows(frame, np.zeros((36, 128))[:, ::2], 1, 35)
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        algo.minmax3x3_rows(frame.T.copy().T, 1, 35)
+    down = algo.downscale(frame)
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        algo.upscale_body_rows(down, np.zeros((36, 128))[:, ::2], 0, 36)
 
 
 class TestWorkspaceSize:

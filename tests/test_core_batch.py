@@ -1,6 +1,7 @@
 """Batch engine: ordering, identity with serial runs, and telemetry."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -70,33 +71,39 @@ class TestBatchEngine:
         shapes = [o.shape for o in result.outputs]
         assert shapes == [(32, 32), (48, 48), (32, 32), (48, 48)]
 
-    @pytest.mark.parametrize("queue_depth", [1, 3])
+    @pytest.mark.parametrize("queue_depth", [1, 2, 3])
     def test_a_generator_is_pulled_lazily(self, frames, queue_depth):
         """A generator (``BatchJob``'s and ``--batch``'s file readers) is
         read only as backpressure admits its frames: at most
-        ``queue_depth + 1`` are pulled and not yet collected.  One worker
-        finishes frames in submission order, which the bound needs: a
-        frame that finished behind a slower one frees its slot before it
-        is collected."""
+        ``queue_depth + 1`` are pulled and not yet collected, also with
+        two workers while frame 1 stalls and the frames behind it finish
+        first (a slot is freed when its frame is collected, not when it
+        finishes)."""
 
         class Collected(NoHooks):
             n = 0
 
+            def frame_started(self, index, frame_id):
+                if index == 1:
+                    time.sleep(0.3)
+
             def on_frame(self, **_):
                 self.n += 1
 
-        hooks = Collected()
-        ahead = []
+        for workers in range(1, min(2, queue_depth) + 1):
+            hooks = Collected()
+            ahead = []
 
-        def reader():
-            for pulled, frame in enumerate(frames, 1):
-                ahead.append(pulled - hooks.n)
-                yield frame
+            def reader():
+                for pulled, frame in enumerate(frames, 1):
+                    ahead.append(pulled - hooks.n)
+                    yield frame
 
-        result = BatchEngine(OPTIMIZED, workers=1, queue_depth=queue_depth,
-                             hooks=hooks).run(reader())
-        assert result.n_frames == hooks.n == len(frames)
-        assert max(ahead) == queue_depth + 1
+            result = BatchEngine(OPTIMIZED, workers=workers,
+                                 queue_depth=queue_depth,
+                                 hooks=hooks).run(reader())
+            assert result.n_frames == hooks.n == len(frames)
+            assert max(ahead) == queue_depth + 1, workers
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValidationError, match="empty"):

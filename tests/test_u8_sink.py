@@ -41,18 +41,20 @@ class TestOvershootRows:
     """Hand-built preliminary values at the rounding and clipping edges,
     with pixels overshooting both extrema."""
 
-    # Row 0: extrema 0 and 255, so only values outside [0, 255]
-    # overshoot; the rest are clipped and rounded half to even.  Row 1:
-    # extrema 10 and 100, with blends that land on .5 and .25 steps.
+    # Full-width rows; columns 0 and 9 are the border, which the row form
+    # stores like any other pixel.  Row 0: extrema 0 and 255, so only
+    # values outside [0, 255] overshoot; the rest are clipped and rounded
+    # half to even.  Row 1: extrema 10 and 100, with blends that land on
+    # .5 and .25 steps.
     PRELIM = np.array([
-        [-3.0, -0.5, 0.5, 1.5, 2.5, 254.5, 255.5, 300.0],
-        [8.0, 102.0, 9.0, 101.0, 50.5, 51.5, -3.0, 300.0],
+        [40.0, -3.0, -0.5, 0.5, 1.5, 2.5, 254.5, 255.5, 300.0, 40.0],
+        [40.0, 8.0, 102.0, 9.0, 101.0, 50.5, 51.5, -3.0, 300.0, 40.0],
     ])
-    MN = np.array([[0] * 8, [10] * 8])
-    MX = np.array([[255] * 8, [100] * 8])
+    MN = np.array([[0] * 10, [0] + [10] * 8 + [0]])
+    MX = np.array([[255] * 10, [255] + [100] * 8 + [255]])
     EXPECTED = np.array([
-        [0, 0, 0, 2, 2, 254, 255, 255],
-        [10, 100, 10, 100, 50, 52, 7, 150],
+        [40, 0, 0, 0, 2, 2, 254, 255, 255, 40],
+        [40, 10, 100, 10, 100, 50, 52, 7, 150, 40],
     ], dtype=np.uint8)
 
     def _run(self, dtype, bound_dtype):
@@ -66,12 +68,12 @@ class TestOvershootRows:
         f64 = self._run(np.float64, bound_dtype)
         u8 = self._run(np.uint8, bound_dtype)
         assert np.array_equal(u8, quantize_u8(f64))
-        assert np.array_equal(u8[1:3, 1:9], self.EXPECTED)
-        # Only interior rows [1, 3) and columns [1, 9) are written.
-        assert (u8[[0, 3]] == 77).all() and (u8[:, [0, 9]] == 77).all()
+        # Rows [1, 3) are stored whole; no other row is written.
+        assert np.array_equal(u8[1:3], self.EXPECTED)
+        assert (u8[[0, 3]] == 77).all()
 
     def test_prelim_must_be_contiguous(self):
-        wide = np.zeros((2, 16))
+        wide = np.zeros((2, 20))
         with pytest.raises(ValidationError):
             algo.overshoot_rows(wide[:, ::2], self.MN, self.MX, 0.25,
                                 np.zeros((4, 10)), 1)
